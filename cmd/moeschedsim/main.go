@@ -47,13 +47,9 @@
 //	moeschedsim -policy moe -drift growth -rate 60 -apps 60
 //	moeschedsim -policy moe -adapt -drift regimes -rate 90 -apps 60
 //
-// Profiling: -cpuprofile/-memprofile write pprof profiles of the whole run,
-// and -no-serving switches the MoE scheme onto its reference serving paths
-// (no footprint memo, per-app admission gating, linear-scan KNN) for A/B
-// comparison — the optimised and reference paths are bit-identical:
+// Profiling: -cpuprofile/-memprofile write pprof profiles of the whole run:
 //
 //	moeschedsim -policy moe -arrivals poisson -rate 80 -apps 10000 -cpuprofile cpu.pprof
-//	moeschedsim -policy moe -no-serving -arrivals poisson -rate 80 -apps 10000 -cpuprofile cpu-ref.pprof
 //
 // -json emits the scenario and queueing results as a single JSON object for
 // machine consumption.
@@ -79,7 +75,7 @@ import (
 	"moespark/internal/workload"
 )
 
-func buildPolicy(name, placer string, seed int64, adapt, noServing bool) (*sched.Dispatcher, error) {
+func buildPolicy(name, placer string, seed int64, adapt bool) (*sched.Dispatcher, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if adapt && name != "moe" {
 		return nil, fmt.Errorf("-adapt selects the feedback-driven MoE pipeline and needs -policy moe, got %q", name)
@@ -101,27 +97,11 @@ func buildPolicy(name, placer string, seed int64, adapt, noServing bool) (*sched
 		if err != nil {
 			return nil, fmt.Errorf("training MoE model: %w", err)
 		}
-		// -no-serving opts out of every (bit-identical) serving optimisation
-		// — footprint memo, batched admission gating, indexed KNN gate — for
-		// A/B profiling against the reference paths.
-		if noServing {
-			model.SetLinearGate(true)
-		}
 		if adapt {
-			ad := moe.NewAdaptive(model, moe.AdaptiveConfig{})
-			if noServing {
-				ad.DisableMemo()
-			}
-			d = sched.NewMoEPredictor(ad, rng)
+			d = sched.NewMoEPredictor(moe.NewAdaptive(model, moe.AdaptiveConfig{}), rng)
 		} else {
-			st := moe.NewStatic(model)
-			if noServing {
-				st = st.WithoutMemo()
-			}
-			d = sched.NewMoEPredictor(st, rng)
-			d.PolicyName = "MoE"
+			d = sched.NewMoE(model, rng)
 		}
-		d.NoBatchPrepare = noServing
 	case "quasar":
 		var q *sched.QuasarModel
 		q, err = sched.TrainQuasar(workload.TrainingSet(), rand.New(rand.NewSource(seed+2)))
@@ -467,38 +447,36 @@ type jsonOutput struct {
 
 func main() {
 	var (
-		policy         = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|oracle|online|unified-linear|unified-exp|unified-log")
-		placer         = flag.String("placer", "firstfit", "placement scoring: firstfit|bestfit|speed")
-		scenario       = flag.String("scenario", "L8", "task-mix scenario label (Table 3: L1..L10)")
-		table4         = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
-		fleet          = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
-		nodes          = flag.Int("nodes", 40, "initial fleet size")
-		shards         = flag.Int("shards", 1, "event-loop shards: partition the fleet into this many epoch-synchronised engines (results are bit-identical at any count; clamped to the fleet size)")
-		nodeEvents     = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
-		racks          = flag.String("racks", "", "fleet topology \"racks[:zones]\", e.g. 8:2 (empty = no topology)")
-		rackStorm      = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
-		migrate        = flag.Bool("migrate", false, "gracefully evacuate draining nodes: checkpoint each executor and migrate it (or hand its state to a sibling)")
-		retryBudget    = flag.Int("retry-budget", 0, "per-app OOM retry budget: blacklist entries cool off (doubling backoff) this many times before turning permanent (0 = legacy permanent blacklist)")
-		refreshSizing  = flag.Bool("refresh-sizing", false, "re-derive executor-fleet caps as capacity frees instead of freezing them at admission")
-		arrivals       = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal (empty = closed batch)")
-		drift          = flag.String("drift", "", "non-stationary open-system workload: growth|regimes (incompatible with -arrivals)")
-		adapt          = flag.Bool("adapt", false, "use the feedback-driven adaptive MoE pipeline (requires -policy moe)")
-		rate           = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
-		apps           = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
-		burstLen       = flag.Float64("burst", 5, "mean jobs per burst (bursty arrivals)")
-		idleSec        = flag.Float64("idle", 0, "mean idle gap between bursts in seconds (bursty arrivals; 0 = derived so the long-run rate matches -rate)")
-		period         = flag.Float64("period", 3600, "day/night period in seconds (diurnal arrivals)")
-		window         = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
-		classes        = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
-		preempt        = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
-		keepForeignMem = flag.Bool("keep-foreign-mem", false, "keep completed co-runners' working sets resident (pre-settle-engine default; opt out of ReleaseForeignMem)")
-		legacySizing   = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
-		noServing      = flag.Bool("no-serving", false, "opt out of the prediction-serving optimisations (footprint memo, batched admission gating, indexed KNN gate) for A/B profiling (requires -policy moe)")
-		cpuprofile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile     = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
-		seed           = flag.Int64("seed", 1, "random seed")
-		verbose        = flag.Bool("verbose", false, "print per-application timings")
-		jsonOut        = flag.Bool("json", false, "emit results as a JSON object instead of tables")
+		policy        = flag.String("policy", "moe", "isolated|pairwise|quasar|moe|oracle|online|unified-linear|unified-exp|unified-log")
+		placer        = flag.String("placer", "firstfit", "placement scoring: firstfit|bestfit|speed")
+		scenario      = flag.String("scenario", "L8", "task-mix scenario label (Table 3: L1..L10)")
+		table4        = flag.Bool("table4", false, "use the paper's exact Table 4 mix instead of a random one")
+		fleet         = flag.String("fleet", "uniform", "node fleet: uniform|bimodal|stragglers")
+		nodes         = flag.Int("nodes", 40, "initial fleet size")
+		shards        = flag.Int("shards", 1, "event-loop shards: partition the fleet into this many epoch-synchronised engines (results are bit-identical at any count; clamped to the fleet size)")
+		nodeEvents    = flag.String("node-events", "", "timed lifecycle events, e.g. drain@600:3,fail@900:7,join@1200")
+		racks         = flag.String("racks", "", "fleet topology \"racks[:zones]\", e.g. 8:2 (empty = no topology)")
+		rackStorm     = flag.String("rack-storm", "", "seeded correlated rack storm \"drains:fails@start:span[:warn[:rejoin]]\" (requires -racks)")
+		migrate       = flag.Bool("migrate", false, "gracefully evacuate draining nodes: checkpoint each executor and migrate it (or hand its state to a sibling)")
+		retryBudget   = flag.Int("retry-budget", 0, "per-app OOM retry budget: blacklist entries cool off (doubling backoff) this many times before turning permanent (0 = legacy permanent blacklist)")
+		refreshSizing = flag.Bool("refresh-sizing", false, "re-derive executor-fleet caps as capacity frees instead of freezing them at admission")
+		arrivals      = flag.String("arrivals", "", "open-system arrival process: poisson|bursty|diurnal (empty = closed batch)")
+		drift         = flag.String("drift", "", "non-stationary open-system workload: growth|regimes (incompatible with -arrivals)")
+		adapt         = flag.Bool("adapt", false, "use the feedback-driven adaptive MoE pipeline (requires -policy moe)")
+		rate          = flag.Float64("rate", 60, "mean arrival rate in jobs/hour (open-system mode)")
+		apps          = flag.Int("apps", 30, "stream length in jobs (open-system mode)")
+		burstLen      = flag.Float64("burst", 5, "mean jobs per burst (bursty arrivals)")
+		idleSec       = flag.Float64("idle", 0, "mean idle gap between bursts in seconds (bursty arrivals; 0 = derived so the long-run rate matches -rate)")
+		period        = flag.Float64("period", 3600, "day/night period in seconds (diurnal arrivals)")
+		window        = flag.Float64("window", 600, "throughput window in seconds (open-system mode)")
+		classes       = flag.String("classes", "", `tenant class mix (open-system mode): "latency-batch" or name:weight:frac[:preempt][:capN],... (empty = single tenant)`)
+		preempt       = flag.Bool("preempt", false, "let high-priority arrivals preempt preemptible executors (requires -classes)")
+		legacySizing  = flag.Bool("legacy-sizing", false, "size executor fleets with the reference formula regardless of free-node capacity (opt out of FleetAwareSizing)")
+		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile    = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file at exit")
+		seed          = flag.Int64("seed", 1, "random seed")
+		verbose       = flag.Bool("verbose", false, "print per-application timings")
+		jsonOut       = flag.Bool("json", false, "emit results as a JSON object instead of tables")
 	)
 	flag.Parse()
 
@@ -547,9 +525,6 @@ func main() {
 	}
 	if *jsonOut && *verbose {
 		fail(fmt.Errorf("-json already includes per-application records; drop -verbose"))
-	}
-	if *noServing && *policy != "moe" {
-		fail(fmt.Errorf("-no-serving opts out of the MoE serving optimisations and needs -policy moe, got %q", *policy))
 	}
 	mix, err := parseClasses(*classes)
 	if err != nil {
@@ -600,7 +575,7 @@ func main() {
 		}
 		events = append(events, storm...)
 	}
-	d, err := buildPolicy(*policy, *placer, *seed, *adapt, *noServing)
+	d, err := buildPolicy(*policy, *placer, *seed, *adapt)
 	if err != nil {
 		fail(err)
 	}
@@ -611,9 +586,6 @@ func main() {
 
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = *nodes
-	if *keepForeignMem {
-		cfg.ReleaseForeignMem = false
-	}
 	if *legacySizing {
 		cfg.FleetAwareSizing = false
 	}

@@ -131,27 +131,6 @@ func (k *KNN) PredictBiased(x []float64, bias func(label int) float64) (label in
 	return k.predict(x, bias)
 }
 
-// PredictBatch answers a sequence of queries together, each exactly as
-// PredictBiased would (a nil bias reproduces PredictWithDistance). The batch
-// shares one ranking buffer across all queries on the linear path; the
-// indexed path needs no buffers. The first failing query aborts the batch.
-func (k *KNN) PredictBatch(xs [][]float64, bias func(label int) float64) (labels []int, nearest []float64, err error) {
-	labels = make([]int, len(xs))
-	nearest = make([]float64, len(xs))
-	var scratch []neigh
-	for i, x := range xs {
-		if k.K == 1 && !k.Linear && k.index != nil {
-			labels[i], nearest[i], err = k.predictIndexed(x, bias)
-		} else {
-			labels[i], nearest[i], err = k.predictLinearBuf(x, bias, &scratch)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("classify: batch query %d: %w", i, err)
-		}
-	}
-	return labels, nearest, nil
-}
-
 // predict routes a query to the indexed path when it applies (K=1, index
 // built, Linear opt-out unset) and to the reference linear scan otherwise.
 // Both paths are bit-identical for K=1; see knnindex.go for the argument.

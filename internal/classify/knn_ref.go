@@ -30,26 +30,13 @@ type neigh struct {
 //
 //moevet:refpair predictIndexed
 func (k *KNN) predictLinear(x []float64, bias func(label int) float64) (label int, nearest float64, err error) {
-	var scratch []neigh
-	return k.predictLinearBuf(x, bias, &scratch)
-}
-
-// predictLinearBuf is predictLinear over a caller-owned ranking buffer, so a
-// batch of queries (PredictBatch) allocates it once instead of per query.
-// The buffer is grown in place; its contents carry no state between calls.
-//
-//moevet:refpair predictIndexed
-func (k *KNN) predictLinearBuf(x []float64, bias func(label int) float64, scratch *[]neigh) (label int, nearest float64, err error) {
 	if !k.fitted {
 		return 0, 0, ErrNotFitted
 	}
 	if len(x) != k.dim {
 		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(x), k.dim)
 	}
-	if cap(*scratch) < len(k.samples) {
-		*scratch = make([]neigh, len(k.samples))
-	}
-	neighs := (*scratch)[:len(k.samples)]
+	neighs := make([]neigh, len(k.samples))
 	for i, s := range k.samples {
 		d := mathx.Euclidean(x, s.X)
 		if bias != nil {

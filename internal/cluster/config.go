@@ -86,13 +86,6 @@ type Config struct {
 	// StartupSec is the application/executor launch latency (driver start,
 	// JVM spin-up, YARN container allocation) before processing begins.
 	StartupSec float64
-	// ReleaseForeignMem, when set, frees a completed foreign task's working
-	// set: its MemoryGB leaves the node's reserved and actual memory the
-	// moment the task finishes, so a node stops paying paging/OOM pressure
-	// for co-runners that are gone. On by default since the settle-engine
-	// golden re-capture; clear it to restore the historical quirk where
-	// foreign working sets stay resident forever (documented in node.go).
-	ReleaseForeignMem bool
 	// FleetAwareSizing, when set, sizes each application's executor fleet
 	// from the specs of nodes actually free at admission instead of assuming
 	// ExecutorSpreadGB-per-reference-node (see Cluster.fleetFor). On by
@@ -174,7 +167,6 @@ func DefaultConfig() Config {
 		MinChunkGB:          0.05,
 		OOMReprocessFrac:    1.0,
 		StartupSec:          8,
-		ReleaseForeignMem:   true,
 		FleetAwareSizing:    true,
 		TraceInterval:       0,
 		// Resilience features stay opt-in: flipping them moves every golden

@@ -69,18 +69,6 @@ type Scheduler interface {
 	Schedule(c *Cluster)
 }
 
-// BatchScheduler is the optional batch face of a Scheduler: the engine hands
-// PrepareBatch every application admitted in the same instant (one admission
-// wave, arrival order) instead of calling Prepare once per app, so policies
-// can gate the wave's predictions together. The returned plans are
-// positional — plans[i] belongs to apps[i] — and each must be exactly what
-// Prepare would have returned for that app in that order: batching is a cost
-// optimisation, never a semantic one. The whole wave is registered (visible
-// via Apps()) before the call, just as with per-app Prepare.
-type BatchScheduler interface {
-	PrepareBatch(c *Cluster, apps []*App) []ProfilePlan
-}
-
 // Cluster is the simulated platform plus simulation state.
 type Cluster struct {
 	cfg        Config
@@ -744,20 +732,7 @@ func (c *Cluster) admitArrivals(sched Scheduler) (int, error) {
 		c.apps = append(c.apps, a)
 		c.active = append(c.active, a)
 	}
-	wave := c.apps[first:]
-	if bs, ok := sched.(BatchScheduler); ok && len(wave) > 0 {
-		plans := bs.PrepareBatch(c, wave)
-		if len(plans) != len(wave) {
-			return first, fmt.Errorf("cluster: %s returned %d profiling plans for a %d-app wave", sched.Name(), len(plans), len(wave))
-		}
-		for i, app := range wave {
-			if err := c.applyProfilePlan(sched, app, plans[i]); err != nil {
-				return first, err
-			}
-		}
-		return first, nil
-	}
-	for _, app := range wave {
+	for _, app := range c.apps[first:] {
 		if err := c.applyProfilePlan(sched, app, sched.Prepare(c, app)); err != nil {
 			return first, err
 		}
@@ -765,9 +740,7 @@ func (c *Cluster) admitArrivals(sched Scheduler) (int, error) {
 	return first, nil
 }
 
-// applyProfilePlan validates one profiling plan and installs it on the app —
-// the shared tail of the per-app and batched admission paths, so both apply
-// byte-identical semantics.
+// applyProfilePlan validates one profiling plan and installs it on the app.
 func (c *Cluster) applyProfilePlan(sched Scheduler, app *App, plan ProfilePlan) error {
 	if plan.VolumeGB < 0 || plan.ContributesGB < 0 || plan.ContributesGB > plan.VolumeGB+1e-9 {
 		return fmt.Errorf("cluster: %s returned invalid profiling plan %+v", sched.Name(), plan)
@@ -1326,10 +1299,9 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	f.DoneTime = c.now
 	c.doneForeign++
 	f.deadline = math.Inf(1)
-	// The finished co-runner stops contending for CPU, so its node's
-	// survivors speed up. (Its working set stays resident by default — see
-	// the ActualGB quirk note in node.go — or leaves the memory sums too
-	// under Config.ReleaseForeignMem; the dirty mark covers both.)
+	// The finished co-runner stops contending for CPU and its working set
+	// leaves the node's memory sums, so the survivors speed up and may
+	// un-page; the dirty mark re-rates the node.
 	c.markDirty(f.Node)
 }
 

@@ -33,7 +33,6 @@ func FuzzCompletionHeapMatchesScan(f *testing.F) {
 		if trace {
 			cfg.TraceInterval = 40
 		}
-		cfg.ReleaseForeignMem = foreign
 		if migrate {
 			// Graceful evacuation plus the rest of the failure-domain
 			// machinery: retry-budget blacklists and capacity-ratcheted

@@ -116,15 +116,15 @@ func (n *Node) AllocatableGB() float64 {
 // demand beyond it is time-shared.
 func (n *Node) CPUCapacity() float64 { return n.cpuCap }
 
-// ReservedGB sums admission-time memory reservations (plus resident foreign
-// working sets).
+// ReservedGB sums admission-time memory reservations (plus the working sets
+// of foreign tasks still running).
 func (n *Node) ReservedGB() float64 {
 	var s float64
 	for _, e := range n.Executors {
 		s += e.ReservedGB
 	}
 	for _, f := range n.Foreign {
-		if f.done && n.cfg.ReleaseForeignMem {
+		if f.done {
 			continue
 		}
 		s += f.MemoryGB
@@ -132,21 +132,17 @@ func (n *Node) ReservedGB() float64 {
 	return s
 }
 
-// ActualGB sums true memory use. Under Config.ReleaseForeignMem (the default
-// since the settle-engine golden re-capture) a finished co-runner's working
-// set leaves both the reserved and actual sums, so the node can un-page once
-// its foreign guest is gone. Clearing the flag restores the historical
-// modeling quirk: a completed foreign task releases its CPU demand (CPUDemand
-// checks done) but its working set stays resident for the rest of the run —
-// only node failure clears it. Either way a foreign completion marks the
-// node dirty, so the rate bookkeeping stays exact.
+// ActualGB sums true memory use. A finished co-runner's working set leaves
+// both the reserved and actual sums, so the node can un-page once its
+// foreign guest is gone; the foreign completion marks the node dirty, so the
+// rate bookkeeping stays exact.
 func (n *Node) ActualGB() float64 {
 	var s float64
 	for _, e := range n.Executors {
 		s += e.ActualGB
 	}
 	for _, f := range n.Foreign {
-		if f.done && n.cfg.ReleaseForeignMem {
+		if f.done {
 			continue
 		}
 		s += f.MemoryGB

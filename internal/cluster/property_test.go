@@ -417,10 +417,9 @@ func buildDiffWorkload(t *testing.T, seed int64, shards int) (*Cluster, []Submis
 	if r.Intn(2) == 0 {
 		cfg.TraceInterval = 40
 	}
-	// Half the seeds release completed foreign working sets: the memory
-	// sums then move on foreign completion, and the reference rate check
-	// must still agree with the dirty-node pass.
-	cfg.ReleaseForeignMem = r.Intn(2) == 0
+	// This draw once chose whether completed foreign working sets were
+	// released; it is kept so each seed still generates the same workload.
+	_ = r.Intn(2)
 	if rackStorm {
 		cfg.MigrateOnDrain = true
 		cfg.OOMRetryBudget = 1 + r.Intn(3)

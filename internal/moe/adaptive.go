@@ -141,18 +141,9 @@ type Adaptive struct {
 	taught  map[int]bool // app IDs that already had their teaching decision
 	nTaught int
 	obs     int
-	// memo caches predictions between mutations (memo.go); mut counts this
-	// predictor's own state mutations — every folded-in observation touches
-	// the error windows and recalibration fits that Predict reads, so each
-	// valid Observe bumps it. The memo validates against model epoch + mut:
-	// a hit is provably computed from the exact state a recomputation would
-	// read, keeping adaptive semantics bit-identical.
-	memo *predictMemo
-	mut  uint64
 }
 
 var _ Predictor = (*Adaptive)(nil)
-var _ BatchPredictor = (*Adaptive)(nil)
 
 // NewAdaptive wraps a trained model with online recalibration state. The
 // model is cloned (gate and labels), so self-training never mutates the
@@ -170,20 +161,8 @@ func NewAdaptive(m *Model, cfg AdaptiveConfig) *Adaptive {
 		fits:   map[memfunc.Family]*mathx.OnlineLS{},
 		errs:   classify.NewLabelErrorWindow(cfg.Window),
 		taught: map[int]bool{},
-		memo:   newPredictMemo(),
 	}
 }
-
-// DisableMemo turns the footprint memo off — every Predict recomputes. The
-// memoised path is bit-identical (pinned by the differential tests), so this
-// exists for A/B benchmarking.
-func (a *Adaptive) DisableMemo() { a.memo = nil }
-
-// stateEpoch versions every piece of mutable state Predict reads: the
-// model's own mutations (gate teaching, program additions) plus this
-// predictor's observation folds (error windows, recalibration fits). Both
-// counters only grow, so the sum is strictly monotonic over mutations.
-func (a *Adaptive) stateEpoch() uint64 { return a.model.Epoch() + a.mut }
 
 // Name implements Predictor.
 func (a *Adaptive) Name() string { return "MoE-adaptive" }
@@ -219,30 +198,6 @@ const extrapolationRef = 25.0
 // static path's), then the expert's learned coefficient correction when one
 // is trustworthy.
 func (a *Adaptive) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, error) {
-	if a.memo == nil {
-		return a.predict(raw, p1, p2)
-	}
-	key := memoKey{raw: raw, p1: p1, p2: p2}
-	if pred, ok := a.memo.lookup(a.stateEpoch(), key); ok {
-		return pred, nil
-	}
-	pred, err := a.predict(raw, p1, p2)
-	if err == nil {
-		a.memo.store(key, pred)
-	}
-	return pred, err
-}
-
-// PredictBatch implements BatchPredictor. An admission wave folds in no
-// observations, so the state epoch is constant across the wave and the memo
-// deduplicates repeated requests within it (and across waves, until the next
-// mutation).
-func (a *Adaptive) PredictBatch(reqs []PredictRequest) []BatchResult {
-	return predictSequential(a, reqs)
-}
-
-// predict is the uncached prediction pipeline.
-func (a *Adaptive) predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, error) {
 	sel, err := a.model.SelectFamily(raw)
 	if err != nil {
 		return Prediction{}, err
@@ -376,10 +331,6 @@ func (a *Adaptive) Observe(obs Observation) {
 		return
 	}
 	a.obs++
-	// Every accepted observation mutates state Predict reads (the error
-	// window below unconditionally, the fit always, the gate possibly), so
-	// the memo epoch moves here, before any of it.
-	a.mut++
 	relErr := math.Abs(obs.PredictedGB-obs.ActualGB) / obs.ActualGB
 	a.errs.Add(int(obs.Family), relErr)
 	ls := a.fits[obs.Calibrated]

@@ -75,17 +75,7 @@ type Model struct {
 	selector  *classify.KNN
 	programs  []ProgramLabel
 	threshold float64 // confidence radius in PC space
-	// epoch counts the model's mutations (AddProgram, TeachGate). The
-	// footprint memo (memo.go) validates cached predictions against it: any
-	// mutation that could change a prediction bumps the epoch and thereby
-	// invalidates every cached entry.
-	epoch uint64
 }
-
-// Epoch returns the model's mutation counter. Two calls returning the same
-// value bracket a window in which the model was provably not mutated, so any
-// prediction computed inside the window can be replayed bit-identically.
-func (m *Model) Epoch() uint64 { return m.epoch }
 
 // SetLinearGate pins the expert selector to its reference linear-scan path
 // (true) or restores the default indexed path (false). The two paths are
@@ -276,30 +266,6 @@ func (m *Model) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, 
 	}, nil
 }
 
-// PredictBatch answers one admission wave's requests together, deduplicating
-// identical requests: repeated (features, p1, p2) triples — common when a
-// wave carries several arrivals of the same benchmark — are computed once
-// and the result shared. The model must not be mutated while the call runs
-// (the single-goroutine engine guarantees this); under that contract each
-// result is bit-identical to a per-request Predict.
-func (m *Model) PredictBatch(reqs []PredictRequest) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	var seen map[memoKey]int // key -> index of first occurrence
-	for i, r := range reqs {
-		key := memoKey{raw: r.Raw, p1: r.P1, p2: r.P2}
-		if j, ok := seen[key]; ok {
-			out[i] = out[j]
-			continue
-		}
-		out[i].Prediction, out[i].Err = m.Predict(r.Raw, r.P1, r.P2)
-		if seen == nil {
-			seen = make(map[memoKey]int, len(reqs))
-		}
-		seen[key] = i
-	}
-	return out
-}
-
 // AddProgram inserts one more labelled training program at runtime without
 // refitting the pipeline or the selector — the extensibility property the
 // paper highlights (new experts/programs can be added as they appear).
@@ -320,7 +286,6 @@ func (m *Model) AddProgram(p TrainingProgram) error {
 		return fmt.Errorf("moe: extending selector: %w", err)
 	}
 	m.programs = append(m.programs, ProgramLabel{Name: p.Name, Family: fit.Func.Family, Fit: fit, PCs: pcs, Residual: res})
-	m.epoch++
 	return nil
 }
 
@@ -350,7 +315,6 @@ func (m *Model) TeachGate(pcs []float64, fam memfunc.Family) error {
 	if err := m.selector.Add(classify.Sample{X: x, Label: int(fam)}); err != nil {
 		return fmt.Errorf("moe: teaching gate: %w", err)
 	}
-	m.epoch++
 	return nil
 }
 

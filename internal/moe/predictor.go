@@ -90,72 +90,31 @@ type PredictRequest struct {
 }
 
 // BatchResult pairs one request's prediction with its error.
+// Nothing in the module uses it; it stays because perfbench/trace.go names it.
 type BatchResult struct {
 	Prediction Prediction
 	Err        error
-}
-
-// BatchPredictor is the optional batch face of a Predictor: PredictBatch
-// answers all requests of one admission wave together, so implementations
-// can deduplicate identical requests and reuse scratch state across the
-// wave. Results are positional and each result must be exactly what Predict
-// would have returned for that request — batching is a cost optimisation,
-// never a semantic one. Callers fall back to per-request Predict when the
-// predictor does not implement this interface.
-type BatchPredictor interface {
-	PredictBatch(reqs []PredictRequest) []BatchResult
 }
 
 // Static adapts a trained Model into the Predictor interface with no
 // adaptation: Predict is exactly Model.Predict and Observe is a no-op. It is
 // the default predictor behind the paper's MoE scheme, bit-for-bit identical
 // to calling the model directly.
-//
-// Static carries a footprint memo (enabled by NewStatic): nothing mutates a
-// static model mid-run, so every prediction is a pure function of its inputs
-// and the memo survives the whole run. The memo still validates against the
-// model epoch, so even an out-of-band Model.AddProgram invalidates it.
 type Static struct {
 	model *Model
-	memo  *predictMemo
 }
 
 var _ Predictor = Static{}
-var _ BatchPredictor = Static{}
 
-// NewStatic wraps a trained model as a non-adaptive Predictor with the
-// footprint memo enabled.
-func NewStatic(m *Model) Static { return Static{model: m, memo: newPredictMemo()} }
-
-// WithoutMemo returns a copy of the predictor with the footprint memo
-// disabled — every Predict recomputes. The memoised path is bit-identical
-// (pinned by the differential tests), so this exists for A/B benchmarking.
-func (s Static) WithoutMemo() Static { return Static{model: s.model} }
+// NewStatic wraps a trained model as a non-adaptive Predictor.
+func NewStatic(m *Model) Static { return Static{model: m} }
 
 // Name implements Predictor.
 func (Static) Name() string { return "MoE-static" }
 
 // Predict implements Predictor.
 func (s Static) Predict(raw features.Vector, p1, p2 memfunc.Point) (Prediction, error) {
-	if s.memo == nil {
-		return s.model.Predict(raw, p1, p2)
-	}
-	key := memoKey{raw: raw, p1: p1, p2: p2}
-	if pred, ok := s.memo.lookup(s.model.Epoch(), key); ok {
-		return pred, nil
-	}
-	pred, err := s.model.Predict(raw, p1, p2)
-	if err == nil {
-		s.memo.store(key, pred)
-	}
-	return pred, err
-}
-
-// PredictBatch implements BatchPredictor. Per-request Predict already
-// consults the run-long memo, which subsumes within-wave deduplication:
-// the first occurrence of a repeated request computes, the rest hit.
-func (s Static) PredictBatch(reqs []PredictRequest) []BatchResult {
-	return predictSequential(s, reqs)
+	return s.model.Predict(raw, p1, p2)
 }
 
 // Observe implements Predictor as a no-op.
@@ -163,14 +122,3 @@ func (Static) Observe(Observation) {}
 
 // Model returns the wrapped model.
 func (s Static) Model() *Model { return s.model }
-
-// predictSequential answers a batch through the predictor's own Predict,
-// preserving request order. It is the shared body of the BatchPredictor
-// implementations whose deduplication lives in the memo layer.
-func predictSequential(p Predictor, reqs []PredictRequest) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	for i, r := range reqs {
-		out[i].Prediction, out[i].Err = p.Predict(r.Raw, r.P1, r.P2)
-	}
-	return out
-}

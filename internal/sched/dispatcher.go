@@ -31,11 +31,6 @@ type Dispatcher struct {
 	SafetyMargin float64
 	// CheckCPU enforces the dispatcher's aggregate-CPU admission rule.
 	CheckCPU bool
-	// NoBatchPrepare disables batched admission-wave preparation: the wave
-	// is prepared app by app even when the estimator supports batching. The
-	// batched path is bit-identical (pinned by differential tests), so this
-	// exists for A/B benchmarking.
-	NoBatchPrepare bool
 
 	// Reusable scratch buffers: Schedule sits on the simulation's hottest
 	// path, and regrowing these every call shows up in the placement
@@ -45,9 +40,8 @@ type Dispatcher struct {
 }
 
 var (
-	_ cluster.Scheduler      = (*Dispatcher)(nil)
-	_ cluster.Observer       = (*Dispatcher)(nil)
-	_ cluster.BatchScheduler = (*Dispatcher)(nil)
+	_ cluster.Scheduler = (*Dispatcher)(nil)
+	_ cluster.Observer  = (*Dispatcher)(nil)
 )
 
 // Name implements cluster.Scheduler.
@@ -59,23 +53,6 @@ func (d *Dispatcher) Prepare(_ *cluster.Cluster, app *cluster.App) cluster.Profi
 		return cluster.ProfilePlan{}
 	}
 	return d.Est.Prepare(app)
-}
-
-// PrepareBatch implements cluster.BatchScheduler: an estimator with a batch
-// face plans the whole admission wave in one call; everything else is
-// prepared app by app, exactly as the per-app engine path would.
-func (d *Dispatcher) PrepareBatch(_ *cluster.Cluster, apps []*cluster.App) []cluster.ProfilePlan {
-	if d.Est == nil {
-		return make([]cluster.ProfilePlan, len(apps))
-	}
-	if be, ok := d.Est.(BatchEstimator); ok && !d.NoBatchPrepare {
-		return be.PrepareBatch(apps)
-	}
-	plans := make([]cluster.ProfilePlan, len(apps))
-	for i, app := range apps {
-		plans[i] = d.Est.Prepare(app)
-	}
-	return plans
 }
 
 // Observe implements cluster.Observer: realised footprints are forwarded to

@@ -36,17 +36,6 @@ type Estimator interface {
 	Estimate(app *cluster.App) (MemEstimate, bool)
 }
 
-// BatchEstimator is an Estimator that can plan a whole admission wave
-// together (cluster.BatchScheduler, one layer down): PrepareBatch must have
-// exactly the per-app effects and return exactly the plans of calling
-// Prepare on each app in order — including consuming any randomness in the
-// identical per-app order — so the engine's golden outputs are independent
-// of which face the dispatcher uses.
-type BatchEstimator interface {
-	Estimator
-	PrepareBatch(apps []*cluster.App) []cluster.ProfilePlan
-}
-
 // ObservingEstimator is an Estimator that consumes the engine's
 // predicted-vs-actual footprint reports (the cluster.Observer flow): the
 // dispatcher forwards each observed executor outcome so the estimator's

@@ -12,10 +12,9 @@ import (
 )
 
 // servingCase is one workload of the serving differential suite: an
-// open-system arrival stream scheduled twice — once with every serving
-// optimisation live (footprint memo, batched admission gating, indexed KNN
-// gate) and once with all of them opted out — that must produce exactly
-// identical simulations.
+// open-system arrival stream scheduled twice — once through the indexed KNN
+// gate and once through its linear-scan reference — that must produce
+// exactly identical simulations.
 type servingCase struct {
 	name     string
 	nodes    int
@@ -26,7 +25,7 @@ type servingCase struct {
 	bursty   bool
 	bimodal  bool
 	// quantise buckets arrival times onto a coarse grid so several arrivals
-	// share one admission event, exercising multi-app PrepareBatch waves.
+	// share one admission event, exercising multi-app admission waves.
 	quantise float64
 }
 
@@ -56,13 +55,12 @@ func servingCases() []servingCase {
 }
 
 // servingRun schedules one case and returns the full simulation result. The
-// optimised run uses the defaults exactly as production does; the reference
-// run opts out of every serving optimisation: memo off (WithoutMemo /
-// DisableMemo), per-app admission (NoBatchPrepare) and the linear-scan gate
-// (SetLinearGate on a private model clone).
-func servingRun(t *testing.T, w servingCase, model *moe.Model, optimised bool) *cluster.Result {
+// indexed run uses the defaults exactly as production does; the linear run
+// pins the gate to its linear-scan reference (SetLinearGate on a private
+// model clone).
+func servingRun(t *testing.T, w servingCase, model *moe.Model, linear bool) *cluster.Result {
 	t.Helper()
-	if !optimised {
+	if linear {
 		model = model.Clone()
 		model.SetLinearGate(true)
 	}
@@ -95,20 +93,9 @@ func servingRun(t *testing.T, w servingCase, model *moe.Model, optimised bool) *
 	rng := rand.New(rand.NewSource(w.seed + 2))
 	var d *Dispatcher
 	if w.adaptive {
-		ad := moe.NewAdaptive(model, moe.AdaptiveConfig{})
-		if !optimised {
-			ad.DisableMemo()
-		}
-		d = NewMoEPredictor(ad, rng)
+		d = NewAdaptiveMoE(model, moe.AdaptiveConfig{}, rng)
 	} else {
-		st := moe.NewStatic(model)
-		if !optimised {
-			st = st.WithoutMemo()
-		}
-		d = NewMoEPredictor(st, rng)
-	}
-	if !optimised {
-		d.NoBatchPrepare = true
+		d = NewMoE(model, rng)
 	}
 	c, err := cluster.NewHetero(cluster.DefaultConfig(), cluster.SpecsFrom(fleet))
 	if err != nil {
@@ -124,10 +111,10 @@ func servingRun(t *testing.T, w servingCase, model *moe.Model, optimised bool) *
 	return res
 }
 
-// TestServingDifferential25Workloads pins the serving optimisations as
-// exactly semantics-preserving: across 25 varied open-system workloads the
-// optimised and fully-opted-out runs must agree bit-for-bit (==, not
-// tolerance) on makespan, kill counts and every per-app timestamp.
+// TestServingDifferential25Workloads pins the indexed KNN gate as exactly
+// semantics-preserving: across 25 varied open-system workloads the kd-tree
+// and linear-scan runs must agree bit-for-bit (==, not tolerance) on
+// makespan, kill counts and every per-app timestamp.
 func TestServingDifferential25Workloads(t *testing.T) {
 	model := moEModel(t, 5)
 	cases := servingCases()
@@ -137,22 +124,22 @@ func TestServingDifferential25Workloads(t *testing.T) {
 	for _, w := range cases {
 		t.Run(w.name, func(t *testing.T) {
 			t.Parallel()
-			on := servingRun(t, w, model, true)
-			off := servingRun(t, w, model, false)
+			on := servingRun(t, w, model, false)
+			off := servingRun(t, w, model, true)
 			if on.MakespanSec != off.MakespanSec {
-				t.Errorf("makespan: optimised %v != reference %v", on.MakespanSec, off.MakespanSec)
+				t.Errorf("makespan: kd-tree %v != linear %v", on.MakespanSec, off.MakespanSec)
 			}
 			if on.OOMKills != off.OOMKills {
-				t.Errorf("OOM kills: optimised %d != reference %d", on.OOMKills, off.OOMKills)
+				t.Errorf("OOM kills: kd-tree %d != linear %d", on.OOMKills, off.OOMKills)
 			}
 			if len(on.Apps) != len(off.Apps) {
-				t.Fatalf("app count: optimised %d != reference %d", len(on.Apps), len(off.Apps))
+				t.Fatalf("app count: kd-tree %d != linear %d", len(on.Apps), len(off.Apps))
 			}
 			for i := range on.Apps {
 				a, b := on.Apps[i], off.Apps[i]
 				if a.SubmitTime != b.SubmitTime || a.ReadyTime != b.ReadyTime ||
 					a.StartTime != b.StartTime || a.DoneTime != b.DoneTime {
-					t.Errorf("app %d timestamps diverge: optimised {%v %v %v %v} != reference {%v %v %v %v}",
+					t.Errorf("app %d timestamps diverge: kd-tree {%v %v %v %v} != linear {%v %v %v %v}",
 						i, a.SubmitTime, a.ReadyTime, a.StartTime, a.DoneTime,
 						b.SubmitTime, b.ReadyTime, b.StartTime, b.DoneTime)
 				}
@@ -163,8 +150,8 @@ func TestServingDifferential25Workloads(t *testing.T) {
 
 // benchmarkAdmission isolates the prediction-serving path the engine runs at
 // every admission — feature gating, two-point calibration and the allocation
-// plan — with the event loop excluded: apps are pre-admitted, gated in
-// engine-sized waves through PrepareBatch, then planned against a fixed node.
+// plan — with the event loop excluded: apps are pre-admitted, gated one by
+// one through Prepare, then planned against a fixed node.
 func benchmarkAdmission(b *testing.B, apps int) {
 	model, err := moe.TrainDefault(rand.New(rand.NewSource(5)))
 	if err != nil {
@@ -179,7 +166,6 @@ func benchmarkAdmission(b *testing.B, apps int) {
 	cfg := cluster.DefaultConfig()
 	node := cluster.New(cfg).Nodes()[0]
 	free := node.FreeGB()
-	const waveSize = 64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,12 +177,8 @@ func benchmarkAdmission(b *testing.B, apps int) {
 		}
 		d := NewMoE(model, rand.New(rand.NewSource(7)))
 		b.StartTimer()
-		for lo := 0; lo < len(admitted); lo += waveSize {
-			hi := lo + waveSize
-			if hi > len(admitted) {
-				hi = len(admitted)
-			}
-			d.PrepareBatch(c, admitted[lo:hi])
+		for _, app := range admitted {
+			d.Prepare(c, app)
 		}
 		for _, app := range admitted {
 			est, ok := d.Est.Estimate(app)
@@ -210,9 +192,9 @@ func BenchmarkSchedulerAdmission100k(b *testing.B) { benchmarkAdmission(b, 100_0
 
 // moeScaleRun is the end-to-end open-system serving benchmark: a 64-node
 // bimodal fleet absorbing a Poisson arrival stream under the MoE scheme,
-// whole engine included. serving=false opts out of the memo, batched gating
-// and the indexed gate, isolating their combined contribution.
-func moeScaleRun(b *testing.B, apps int, serving bool) {
+// whole engine included. linear pins the gate to its linear-scan reference,
+// isolating the indexed gate's contribution.
+func moeScaleRun(b *testing.B, apps int, linear bool) {
 	b.Helper()
 	const nodes = 64
 	fleet, err := workload.BimodalFleet(nodes, workload.BigNode(), workload.LittleNode(), 0.5, rand.New(rand.NewSource(2)))
@@ -229,7 +211,7 @@ func moeScaleRun(b *testing.B, apps int, serving bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !serving {
+	if linear {
 		model.SetLinearGate(true)
 	}
 	cfg := cluster.DefaultConfig()
@@ -241,15 +223,7 @@ func moeScaleRun(b *testing.B, apps int, serving bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var d *Dispatcher
-		if serving {
-			d = NewMoE(model, rand.New(rand.NewSource(7)))
-		} else {
-			d = NewMoEPredictor(moe.NewStatic(model).WithoutMemo(), rand.New(rand.NewSource(7)))
-			d.PolicyName = "MoE"
-			d.NoBatchPrepare = true
-		}
-		res, err := c.RunOpen(subs, d)
+		res, err := c.RunOpen(subs, NewMoE(model, rand.New(rand.NewSource(7))))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,6 +233,6 @@ func moeScaleRun(b *testing.B, apps int, serving bool) {
 	}
 }
 
-func BenchmarkOpenSystemMoE10k(b *testing.B)           { moeScaleRun(b, 10_000, true) }
-func BenchmarkOpenSystemMoE100k(b *testing.B)          { moeScaleRun(b, 100_000, true) }
-func BenchmarkOpenSystemMoE100kNoServing(b *testing.B) { moeScaleRun(b, 100_000, false) }
+func BenchmarkOpenSystemMoE10k(b *testing.B)            { moeScaleRun(b, 10_000, false) }
+func BenchmarkOpenSystemMoE100k(b *testing.B)           { moeScaleRun(b, 100_000, false) }
+func BenchmarkOpenSystemMoE100kLinearGate(b *testing.B) { moeScaleRun(b, 100_000, true) }

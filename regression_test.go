@@ -17,8 +17,9 @@ import (
 // recorded): Run(jobs, sched) is required to stay a behaviour-preserving
 // wrapper over RunOpen with all submissions at t=0. All goldens in this file
 // were re-captured exactly once when the settle-on-rate-change engine landed
-// together with the ReleaseForeignMem/FleetAwareSizing default flips (see
-// README "Engine internals" for why the PR1-5 values could not survive).
+// together with the foreign-memory-release and FleetAwareSizing default
+// flips (see README "Engine internals" for why the PR1-5 values could not
+// survive).
 type golden struct {
 	stp, antt, makespan float64
 	oom                 int
