@@ -64,12 +64,10 @@ var settleTouchPoints = map[string]bool{
 	"admitProfiling":   true,
 	"recomputeRates":   true,
 	"rateNode":         true,
-	// engine.go/shard.go sharded-loop halves of rateNode: settleNode is the
-	// serial settle/OOM prepass, computeNodeRates the pure rate half (writes
-	// Node.wakeAt), rateDirtySharded the epoch fan-out (clears Node.dirty).
+	// engine.go halves of rateNode: settleNode is the settle/OOM half,
+	// computeNodeRates the pure rate half (writes Node.wakeAt).
 	"settleNode":         true,
 	"computeNodeRates":   true,
-	"rateDirtySharded":   true,
 	"reclaimExecutor":    true,
 	"completeApp":        true,
 	"reregisterDeadline": true,

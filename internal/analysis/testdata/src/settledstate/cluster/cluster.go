@@ -90,23 +90,15 @@ func trailingAllow(a *App) {
 	a.deadline = 0 //moevet:allow settledstate test harness resets the deadline between scenarios
 }
 
-// computeNodeRates is the sharded loop's pure rate half: allowed to place
+// computeNodeRates is the pure rate half of rating a node: allowed to place
 // the wake time it derives.
-func (c *Cluster) computeNodeRates(n *Node, shard int) {
-	n.wakeAt = c.now + float64(shard)
+func (c *Cluster) computeNodeRates(n *Node) {
+	n.wakeAt = c.now
 }
 
-// rateDirtySharded is the epoch fan-out: allowed to clear dirty flags after
-// the barrier.
-func (c *Cluster) rateDirtySharded(dirty []*Node) {
-	for _, n := range dirty {
-		n.dirty = false
-	}
-}
-
-// shardShortcut recomputes a wake time outside the sharded-loop touch
-// points: the stray-writer class the shard split must not reintroduce.
-func shardShortcut(n *Node, at float64) {
+// wakeShortcut recomputes a wake time and re-dirties a node outside the
+// engine's touch points: the stray-writer class the analyzer exists to catch.
+func wakeShortcut(n *Node, at float64) {
 	n.wakeAt = at  // want `write to settle-discipline field Node.wakeAt`
 	n.dirty = true // want `write to settle-discipline field Node.dirty`
 }

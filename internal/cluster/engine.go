@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"moespark/internal/parallel"
 	"moespark/internal/workload"
 )
 
@@ -96,11 +95,10 @@ type Cluster struct {
 	doneApps      int
 	doneForeign   int
 	dirtyNodes    []*Node
-	// wakes holds one lazy-deletion wake heap per event-loop shard, indexed
-	// by Node.shard (a single heap on a single-loop cluster): the parallel
-	// rate phase pushes each node's wake-up onto its own shard's heap, so the
-	// fan-out never contends on a shared structure.
-	wakes []wakeHeap
+	// wakes is the lazy-deletion heap of node wake-ups: the rate pass pushes
+	// a node's next startup/migration gate expiry so the node is re-dirtied
+	// the instant a zero rate comes alive.
+	wakes wakeHeap
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -130,21 +128,8 @@ type Cluster struct {
 	// shareBuf is fleetFor scratch (per-node spread shares).
 	shareBuf []float64
 
-	// Sharded event loop (see shard.go): shards is the resolved partition
-	// count (1 = single loop), rackShard maps rack labels to shards for
-	// mid-run joins, shardDirty are the reused per-shard slices the dirty
-	// list is split into before the parallel rate phase, and pool is the
-	// persistent worker pool alive for the duration of one RunOpen.
-	shards     int
-	rackShard  map[string]int
-	shardDirty [][]*Node
-	pool       *parallel.Pool
-	// epochs counts event-loop iterations this run; shardRated/shardWakes
-	// count per-shard rate recomputations and served wake-ups (Result.Epochs
-	// and Result.ShardStats).
-	epochs     int
-	shardRated []int64
-	shardWakes []int64
+	// epochs counts event-loop iterations this run (Result.Epochs).
+	epochs int
 
 	totalOOM          int
 	totalFailKills    int
@@ -180,17 +165,7 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("cluster: need at least one node spec")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
-	}
 	c := &Cluster{cfg: cfg}
-	c.shards = cfg.Shards
-	if c.shards < 1 {
-		c.shards = 1
-	}
-	if c.shards > len(specs) {
-		c.shards = len(specs)
-	}
 	c.nodes = make([]*Node, len(specs))
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
@@ -199,10 +174,6 @@ func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
 		c.nodes[i] = newNode(i, s, cfg, 0)
 	}
 	c.nextNodeID = len(specs)
-	c.assignShards()
-	c.wakes = make([]wakeHeap, c.shards)
-	c.shardRated = make([]int64, c.shards)
-	c.shardWakes = make([]int64, c.shards)
 	if cfg.TraceInterval > 0 {
 		c.trace = newTrace(cfg.TraceInterval)
 	}
@@ -579,13 +550,8 @@ type Result struct {
 	// LostWorkGB is the total reprocessing work charged back by OOM kills,
 	// node failures and preemptions over the whole run.
 	LostWorkGB float64
-	// Epochs counts event-loop iterations: on a sharded cluster each is one
-	// barrier-synchronised step of every shard (see shard.go), on a
-	// single-loop cluster simply one event.
+	// Epochs counts event-loop iterations, one per event.
 	Epochs int
-	// ShardStats has one entry per event-loop shard (a single entry on a
-	// single-loop cluster) with the shard's node count and event counters.
-	ShardStats []ShardStat
 	// Trace holds utilization samples when tracing was enabled.
 	Trace *Trace
 }
@@ -655,17 +621,6 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 	})
 	c.apps = make([]*App, 0, len(subs))
 	c.resetIndex()
-	if c.shards > 1 {
-		// The shard pool lives for exactly one run: workers park between
-		// events on a bounded spin, and closing at return keeps thousands of
-		// short test runs from accumulating goroutines. recomputeRates takes
-		// the sharded path only while the pool exists.
-		c.pool = parallel.NewPool(c.shards)
-		defer func() {
-			c.pool.Close()
-			c.pool = nil
-		}()
-	}
 
 	// The event cap guards against stalled-policy loops; it scales with the
 	// workload so fleet-scale streams (millions of arrivals, each worth a
@@ -819,13 +774,6 @@ func (c *Cluster) recomputeRates() {
 			c.dirtyNodes[j], c.dirtyNodes[j-1] = c.dirtyNodes[j-1], c.dirtyNodes[j]
 		}
 	}
-	if c.pool != nil {
-		// Sharded run: serial settle/OOM prepass in the same node-ID order,
-		// then the pure rate halves fanned out one partition per shard
-		// (shard.go). Bit-identical to the loop below at any shard count.
-		c.rateDirtySharded()
-		return
-	}
 	// Drain by index, not by range snapshot: rateNode's enforceOOM can call
 	// markDirty mid-drain (today only for the node being rated, whose flag
 	// is still set, but a range over a stale snapshot would silently strand
@@ -838,13 +786,11 @@ func (c *Cluster) recomputeRates() {
 	c.dirtyNodes = c.dirtyNodes[:0]
 }
 
-// rateNode recomputes every rate on one node (the former recomputeRates
-// per-node body): the settle/OOM half followed by the pure rate half — the
-// exact composition the sharded pass runs with the halves regrouped into a
-// serial prepass and a parallel fan-out.
+// rateNode recomputes every rate on one node: the settle/OOM half followed
+// by the pure rate half.
 func (c *Cluster) rateNode(n *Node) {
 	c.settleNode(n)
-	c.computeNodeRates(n, n.shard)
+	c.computeNodeRates(n)
 }
 
 // settleNode is the serial half of rating one node: settle every resident
@@ -870,14 +816,11 @@ func (c *Cluster) settleNode(n *Node) {
 
 // computeNodeRates is the pure half: recompute every rate on the node from
 // its settled state and refresh the node's wake-up — the earliest future
-// startup expiry among its executors, re-registered on the given shard's
-// wake heap when it changed so the node is re-dirtied the instant a zero
-// rate comes alive. It reads only node-local state (plus per-app startup
-// gates, which only the serial engine writes) and writes only the node's own
-// rates, wake time and shard slots, so the sharded pass runs it for
-// different shards concurrently.
-func (c *Cluster) computeNodeRates(n *Node, shard int) {
-	c.shardRated[shard]++
+// startup expiry among its executors, re-registered on the wake heap when it
+// changed so the node is re-dirtied the instant a zero rate comes alive. It
+// reads only node-local state plus per-app startup gates and writes only the
+// node's own rates and wake time.
+func (c *Cluster) computeNodeRates(n *Node) {
 	sumD := n.CPUDemand()
 	usable := n.Spec.UsableGB()
 	speed := n.Spec.SpeedFactor
@@ -934,7 +877,7 @@ func (c *Cluster) computeNodeRates(n *Node, shard int) {
 	if wake != n.wakeAt {
 		n.wakeAt = wake
 		if !math.IsInf(wake, 1) {
-			c.wakes[shard].push(wake, n)
+			c.wakes.push(wake, n)
 		}
 	}
 }
@@ -1108,19 +1051,16 @@ func (c *Cluster) nextEventDt() (float64, bool) {
 		}
 		break
 	}
-	for s := range c.wakes {
-		h := &c.wakes[s]
-		for len(*h) > 0 {
-			top := (*h)[0]
-			if top.n.wakeAt != top.at {
-				h.pop()
-				continue
-			}
-			if dt := top.at - c.now; dt < best {
-				best = dt
-			}
-			break
+	for len(c.wakes) > 0 {
+		top := c.wakes[0]
+		if top.n.wakeAt != top.at {
+			c.wakes.pop()
+			continue
 		}
+		if dt := top.at - c.now; dt < best {
+			best = dt
+		}
+		break
 	}
 	if len(c.pending) > 0 {
 		if dt := c.pending[0].At - c.now; dt < best {
@@ -1317,13 +1257,6 @@ func (c *Cluster) result() *Result {
 			makespan = f.DoneTime
 		}
 	}
-	stats := make([]ShardStat, c.shards)
-	for s := range stats {
-		stats[s] = ShardStat{Shard: s, Rated: c.shardRated[s], Wakes: c.shardWakes[s]}
-	}
-	for _, n := range c.nodes {
-		stats[n.shard].Nodes++
-	}
 	return &Result{
 		Apps:         c.apps,
 		Foreign:      c.foreign,
@@ -1335,7 +1268,6 @@ func (c *Cluster) result() *Result {
 		OOMRetries:   c.totalRetries,
 		LostWorkGB:   c.totalLostGB,
 		Epochs:       c.epochs,
-		ShardStats:   stats,
 		Trace:        c.trace,
 	}
 }
