@@ -38,6 +38,12 @@ var settledFields = map[string]map[string]bool{
 		// App.RemainingGB.
 		"gateUntil":   true,
 		"processedGB": true,
+		// cacheEff is the rate formula's cached cache-efficiency factor,
+		// derived from ItemsGB and FairShareGB; a write to either input
+		// outside Spawn/Grow would leave it stale.
+		"ItemsGB":     true,
+		"FairShareGB": true,
+		"cacheEff":    true,
 	},
 }
 
@@ -72,6 +78,11 @@ var settleTouchPoints = map[string]bool{
 	"completeApp":        true,
 	"reregisterDeadline": true,
 	"completeForeign":    true,
+	// engine.go: the executor allocation touch points and the helper that
+	// re-derives the cached cache-efficiency factor from them.
+	"Spawn":           true,
+	"Grow":            true,
+	"refreshCacheEff": true,
 	// lifecycle.go: a failing node takes its co-runners with it (marks them
 	// done/Lost and re-dirties the node).
 	"failNode": true,
@@ -84,8 +95,9 @@ var settleTouchPoints = map[string]bool{
 }
 
 // SettledState forbids writes (assignment, op-assignment, increment) to the
-// settle-discipline fields of cluster.App, cluster.ForeignTask and
-// cluster.Node outside the engine's touch-point methods and eventindex.go.
+// settle-discipline fields of cluster.App, cluster.ForeignTask, cluster.Node
+// and cluster.Executor outside the engine's touch-point methods and
+// eventindex.go.
 // This is the rule PRs 4 and 6 state in prose — settled engine state is
 // mutated only through touch points — made mechanical. Test code that needs
 // to poke a field directly must carry //moevet:allow settledstate <reason>.

@@ -1,7 +1,7 @@
 // Package cluster is a settledstate fixture: it fakes the engine types
-// (App, ForeignTask, Node in a package named cluster) so the analyzer's
-// field table applies, then writes their settle-discipline fields from
-// both allowed touch points and stray helpers.
+// (App, ForeignTask, Node, Executor in a package named cluster) so the
+// analyzer's field table applies, then writes their settle-discipline fields
+// from both allowed touch points and stray helpers.
 package cluster
 
 // App mirrors the engine's settle-discipline fields.
@@ -29,6 +29,14 @@ type Node struct {
 	ID     int
 	wakeAt float64
 	dirty  bool
+}
+
+// Executor mirrors the engine's cached cache-efficiency factor and the
+// allocation fields it is derived from.
+type Executor struct {
+	ItemsGB     float64
+	FairShareGB float64
+	cacheEff    float64
 }
 
 // Cluster is the owning engine stand-in.
@@ -101,4 +109,25 @@ func (c *Cluster) computeNodeRates(n *Node) {
 func wakeShortcut(n *Node, at float64) {
 	n.wakeAt = at  // want `write to settle-discipline field Node.wakeAt`
 	n.dirty = true // want `write to settle-discipline field Node.dirty`
+}
+
+// Grow is an allowed touch point: it rewrites the allocation and refreshes
+// the cached factor derived from it.
+func (c *Cluster) Grow(e *Executor, items float64) {
+	e.ItemsGB = items
+	c.refreshCacheEff(e)
+}
+
+// refreshCacheEff is the allowed helper that re-derives the cached factor.
+func (c *Cluster) refreshCacheEff(e *Executor) {
+	e.cacheEff = e.ItemsGB / e.FairShareGB
+}
+
+// shrinkInPlace rewrites an allocation outside the touch points, leaving
+// the cached factor stale: the stray-writer class the analyzer exists to
+// catch.
+func shrinkInPlace(e *Executor) {
+	e.ItemsGB /= 2    // want `write to settle-discipline field Executor.ItemsGB`
+	e.FairShareGB = 0 // want `write to settle-discipline field Executor.FairShareGB`
+	e.cacheEff = 1    // want `write to settle-discipline field Executor.cacheEff`
 }

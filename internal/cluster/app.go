@@ -214,7 +214,9 @@ type Executor struct {
 	// Demand is the executor's CPU demand as a fraction of the node.
 	Demand float64
 	// FairShareGB is the per-executor data share at spawn time, used for
-	// the cache-efficiency penalty.
+	// the cache-efficiency penalty. The penalty factor is cached from
+	// ItemsGB and FairShareGB at Spawn and Grow, so neither field may be
+	// written anywhere else (moevet's settledstate enforces this).
 	FairShareGB float64
 	// SpawnTime records when the executor started.
 	SpawnTime float64
@@ -227,6 +229,10 @@ type Executor struct {
 	// rate is the current processing rate (GB/s), recomputed between
 	// events.
 	rate float64
+	// cacheEff is the cache-efficiency factor of the rate formula, cached
+	// by Cluster.refreshCacheEff at Spawn and Grow (the only points where
+	// ItemsGB or FairShareGB change).
+	cacheEff float64
 	// gateUntil is a per-executor processing gate: the rate is zero until
 	// both it and the app-level startupUntil have passed. Zero for ordinary
 	// spawns (the app gate alone governs); migration sets it to the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"moespark/internal/workload"
@@ -86,15 +87,23 @@ type Cluster struct {
 	classed bool
 
 	// Event index (see eventindex.go): active sets and done-counters keep
-	// the per-event loops proportional to in-flight work, dirtyNodes and the
-	// wake heap keep rate recomputation proportional to what changed.
+	// the per-event loops proportional to in-flight work, the dirty-node
+	// bitmap and the wake heap keep rate recomputation proportional to what
+	// changed.
 	active        []*App         // apps not yet done, submission order
 	profiling     []*App         // apps currently profiling, submission order
 	activeForeign []*ForeignTask // foreign tasks not yet done, registration order
 	draining      []*Node        // nodes in the Draining state, drain order
 	doneApps      int
 	doneForeign   int
-	dirtyNodes    []*Node
+	// dirtyBits is the pending dirty set, one bit per node indexed by
+	// Node.ID, and dirtyCount the number of bits set. The rate pass maps a
+	// bit back to c.nodes[ID], which relies on Node.ID being the node's
+	// index in c.nodes: construction numbers nodes 0..len(specs)-1, joins
+	// append with nextNodeID rising from len(specs), and nodes are never
+	// removed from c.nodes (a drained or failed node keeps its slot).
+	dirtyBits  []uint64
+	dirtyCount int
 	// wakes is the lazy-deletion heap of node wake-ups: the rate pass pushes
 	// a node's next startup/migration gate expiry so the node is re-dirtied
 	// the instant a zero rate comes alive.
@@ -448,6 +457,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 		FairShareGB: fair,
 		SpawnTime:   c.now,
 	}
+	c.refreshCacheEff(e)
 	node.Executors = append(node.Executors, e)
 	app.Executors = append(app.Executors, e)
 	c.markDirty(node)
@@ -501,10 +511,27 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	}
 	e.ReservedGB = newReserveGB
 	e.ItemsGB = newItemsGB
+	c.refreshCacheEff(e)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = c.resident(e.NeedGB, e.ReservedGB)
 	c.markDirty(e.Node)
 	return nil
+}
+
+// refreshCacheEff recomputes the executor's cache-efficiency factor,
+// (ItemsGB/FairShareGB)^CacheGamma floored at CacheFloor when the allocation
+// falls short of the fair share and 1 otherwise. Its inputs change only at
+// Spawn and Grow, so those are its only callers and the rate pass reads the
+// cached value instead of evaluating math.Pow per executor per epoch.
+func (c *Cluster) refreshCacheEff(e *Executor) {
+	eff := 1.0
+	if e.FairShareGB > c.cfg.MinChunkGB && e.ItemsGB < e.FairShareGB {
+		eff = math.Pow(e.ItemsGB/e.FairShareGB, c.cfg.CacheGamma)
+		if eff < c.cfg.CacheFloor {
+			eff = c.cfg.CacheFloor
+		}
+	}
+	e.cacheEff = eff
 }
 
 // removeExecutor detaches e from its node and app. The node's co-runners
@@ -761,29 +788,26 @@ func (c *Cluster) profilingShare() float64 {
 // bit-identical rates already (every mutation marks its node via markDirty,
 // and startup expiries re-dirty through the wake heap). Dirty nodes are
 // processed in node order — the order the full scan used — because OOM-kill
-// charge-backs on different nodes can touch the same application.
+// charge-backs on different nodes can touch the same application; walking
+// the bitmap word by word, lowest bit first, visits them in that order.
 func (c *Cluster) recomputeRates() {
 	c.wakeExpiredNodes()
-	if len(c.dirtyNodes) == 0 {
-		return
-	}
-	// Insertion sort by node ID: c.nodes is ID-ordered (joins append rising
-	// IDs), the dirty list is short, and sort.Slice would allocate.
-	for i := 1; i < len(c.dirtyNodes); i++ {
-		for j := i; j > 0 && c.dirtyNodes[j].ID < c.dirtyNodes[j-1].ID; j-- {
-			c.dirtyNodes[j], c.dirtyNodes[j-1] = c.dirtyNodes[j-1], c.dirtyNodes[j]
+	// Drain until the count reaches zero rather than making one pass:
+	// rateNode's enforceOOM can call markDirty mid-drain (today only for the
+	// node being rated, whose bit is still set, but a single pass would
+	// silently strand a node marked behind the cursor with dirty=true).
+	for c.dirtyCount > 0 {
+		for w := 0; w < len(c.dirtyBits) && c.dirtyCount > 0; w++ {
+			for c.dirtyBits[w] != 0 {
+				b := bits.TrailingZeros64(c.dirtyBits[w])
+				n := c.nodes[w<<6|b]
+				c.rateNode(n)
+				c.dirtyBits[w] &^= 1 << b
+				n.dirty = false
+				c.dirtyCount--
+			}
 		}
 	}
-	// Drain by index, not by range snapshot: rateNode's enforceOOM can call
-	// markDirty mid-drain (today only for the node being rated, whose flag
-	// is still set, but a range over a stale snapshot would silently strand
-	// any newly appended node with dirty=true and no list entry).
-	for i := 0; i < len(c.dirtyNodes); i++ {
-		n := c.dirtyNodes[i]
-		c.rateNode(n)
-		n.dirty = false
-	}
-	c.dirtyNodes = c.dirtyNodes[:0]
 }
 
 // rateNode recomputes every rate on one node: the settle/OOM half followed
@@ -819,7 +843,14 @@ func (c *Cluster) settleNode(n *Node) {
 // startup expiry among its executors, re-registered on the wake heap when it
 // changed so the node is re-dirtied the instant a zero rate comes alive. It
 // reads only node-local state plus per-app startup gates and writes only the
-// node's own rates and wake time.
+// node's own rates and wake time. A live executor's rate is
+//
+//	ScanRate × speed × cpuFactor × interference × pageFactor × cacheEff × heapFactor
+//
+// where cacheEff is the factor refreshCacheEff cached at Spawn/Grow (its
+// inputs change nowhere else) and the others are recomputed here; the
+// product keeps this order so every rate is bit-identical to the uncached
+// evaluation refCheckRates performs.
 func (c *Cluster) computeNodeRates(n *Node) {
 	sumD := n.CPUDemand()
 	usable := n.Spec.UsableGB()
@@ -850,13 +881,6 @@ func (c *Cluster) computeNodeRates(n *Node) {
 			continue
 		}
 		interference := 1 / (1 + c.cfg.InterferenceAlpha*(sumD-e.Demand))
-		cacheEff := 1.0
-		if e.FairShareGB > c.cfg.MinChunkGB && e.ItemsGB < e.FairShareGB {
-			cacheEff = math.Pow(e.ItemsGB/e.FairShareGB, c.cfg.CacheGamma)
-			if cacheEff < c.cfg.CacheFloor {
-				cacheEff = c.cfg.CacheFloor
-			}
-		}
 		heapFactor := 1.0
 		if e.ReservedGB > 0 && e.NeedGB > e.ReservedGB {
 			shortfall := (e.NeedGB - e.ReservedGB) / e.ReservedGB
@@ -865,7 +889,7 @@ func (c *Cluster) computeNodeRates(n *Node) {
 				heapFactor = c.cfg.HeapFloor
 			}
 		}
-		e.rate = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * cacheEff * heapFactor
+		e.rate = e.App.Job.Bench.ScanRate * speed * cpuFactor * interference * pageFactor * e.cacheEff * heapFactor
 	}
 	for _, f := range n.Foreign {
 		if f.done {

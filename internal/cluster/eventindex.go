@@ -109,11 +109,17 @@ func (h *wakeHeap) siftDown(i int) {
 // it: executor membership changes (Spawn, removeExecutor — which covers app
 // completion, OOM kills, node-failure kills and preemption), reservation and
 // allocation changes (Grow), foreign-task arrival and completion, node
-// lifecycle events, and startup-expiry wake-ups. Idempotent per pass.
+// lifecycle events, and startup-expiry wake-ups. Idempotent per pass. The
+// first mark of a joined node grows the bitmap to cover its ID.
 func (c *Cluster) markDirty(n *Node) {
 	if !n.dirty {
 		n.dirty = true
-		c.dirtyNodes = append(c.dirtyNodes, n)
+		w := n.ID >> 6
+		for len(c.dirtyBits) <= w {
+			c.dirtyBits = append(c.dirtyBits, 0)
+		}
+		c.dirtyBits[w] |= 1 << (n.ID & 63)
+		c.dirtyCount++
 	}
 }
 

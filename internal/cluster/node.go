@@ -66,7 +66,8 @@ type Node struct {
 	// a foreign task arriving or finishing, a lifecycle event, a startup
 	// expiry). Clean nodes keep their previously-computed rates, which are
 	// bit-identical to what a recompute would produce. Always set via
-	// Cluster.markDirty so the node lands on the pending dirty list.
+	// Cluster.markDirty so the node's bit is set in the cluster's dirty
+	// bitmap.
 	dirty bool
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from

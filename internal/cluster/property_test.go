@@ -512,20 +512,7 @@ func TestIndexedEngineMatchesScanReference(t *testing.T) {
 	stormMigrations := 0
 	for seed := int64(0); seed < 28; seed++ {
 		c, subs, sched, rackStorm := buildDiffWorkload(t, seed)
-		label := fmt.Sprintf("seed %d:", seed)
-		events := installDiffHook(t, c, label)
-		res, err := c.RunOpen(subs, sched)
-		if err != nil {
-			t.Fatalf("%s run: %v", label, err)
-		}
-		if *events == 0 {
-			t.Fatalf("%s differential hook never fired", label)
-		}
-		for _, a := range res.Apps {
-			if a.State != StateDone {
-				t.Fatalf("%s app %d finished in state %v", label, a.ID, a.State)
-			}
-		}
+		res := runDiffWorkload(t, c, subs, sched, fmt.Sprintf("seed %d:", seed))
 		if rackStorm {
 			stormMigrations += res.Migrations
 		}
@@ -533,6 +520,88 @@ func TestIndexedEngineMatchesScanReference(t *testing.T) {
 	if stormMigrations == 0 {
 		t.Error("rack-storm seeds never migrated an executor: the failure-domain paths went untested")
 	}
+
+	// One wide fleet: 128 nodes plus storm rejoins that land on IDs 128 and
+	// 129, so the rate pass walks the dirty bitmap's second word and a join
+	// grows it to a third. The probe proves a joined node carried load.
+	c, subs, sched := buildWideDiffWorkload(t)
+	probe := &loadProbe{diffScheduler: sched, maxLoaded: -1}
+	runDiffWorkload(t, c, subs, probe, "wide fleet:")
+	if probe.maxLoaded < 128 {
+		t.Errorf("wide fleet: highest node ID with an executor was %d; no joined node past 127 carried load", probe.maxLoaded)
+	}
+}
+
+// runDiffWorkload runs one differential workload under the full
+// installDiffHook and checks that the hook fired and every app finished.
+func runDiffWorkload(t *testing.T, c *Cluster, subs []Submission, sched Scheduler, label string) *Result {
+	t.Helper()
+	events := installDiffHook(t, c, label)
+	res, err := c.RunOpen(subs, sched)
+	if err != nil {
+		t.Fatalf("%s run: %v", label, err)
+	}
+	if *events == 0 {
+		t.Fatalf("%s differential hook never fired", label)
+	}
+	for _, a := range res.Apps {
+		if a.State != StateDone {
+			t.Fatalf("%s app %d finished in state %v", label, a.ID, a.State)
+		}
+	}
+	return res
+}
+
+// loadProbe wraps diffScheduler and records the highest node ID that hosts
+// an executor after any scheduling event.
+type loadProbe struct {
+	*diffScheduler
+	maxLoaded int
+}
+
+func (p *loadProbe) Schedule(c *Cluster) {
+	p.diffScheduler.Schedule(c)
+	for _, n := range c.Nodes() {
+		if len(n.Executors) > 0 && n.ID > p.maxLoaded {
+			p.maxLoaded = n.ID
+		}
+	}
+}
+
+// buildWideDiffWorkload builds the differential suite's one fleet wider than
+// two bitmap words: 128 paper nodes, a drain-and-fail storm whose rejoins get
+// IDs 128 and 129, a foreign co-runner in each of the first two words, and a
+// Poisson stream heavy enough to spread executors past node 64.
+func buildWideDiffWorkload(t *testing.T) (*Cluster, []Submission, *diffScheduler) {
+	t.Helper()
+	const nodes = 128
+	r := rand.New(rand.NewSource(128))
+	fleet, err := workload.UniformFleet(nodes, workload.PaperNode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, err := workload.PoissonArrivals(80, 0.5, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewHetero(DefaultConfig(), SpecsFrom(fleet))
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := arrivals[len(arrivals)-1].At
+	storm, err := StormEvents(nodes, 1, 1, span*0.1, span*0.5+1, 20, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ScheduleNodeEvents(storm...); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{5, 100} {
+		if _, err := c.AddForeign(id, "co-runner", 0.3, 15, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, Submissions(arrivals), &diffScheduler{hog: true}
 }
 
 // scaleDiffScheduler drives the fleet-scale differential run: the whole-node
