@@ -30,7 +30,6 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
-		"dirty":  true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -66,14 +65,10 @@ var settleTouchPoints = map[string]bool{
 	"wakeExpiredNodes":   true,
 	"markDirty":          true,
 	// engine.go touch points.
-	"applyProfilePlan": true,
-	"admitProfiling":   true,
-	"recomputeRates":   true,
-	"rateNode":         true,
-	// engine.go halves of rateNode: settleNode is the settle/OOM half,
-	// computeNodeRates the pure rate half (writes Node.wakeAt).
-	"settleNode":         true,
-	"computeNodeRates":   true,
+	"applyProfilePlan":   true,
+	"admitProfiling":     true,
+	"recomputeRates":     true,
+	"rateNode":           true,
 	"reclaimExecutor":    true,
 	"completeApp":        true,
 	"reregisterDeadline": true,

@@ -28,7 +28,6 @@ type ForeignTask struct {
 type Node struct {
 	ID     int
 	wakeAt float64
-	dirty  bool
 }
 
 // Executor mirrors the engine's cached cache-efficiency factor and the
@@ -62,7 +61,6 @@ func (c *Cluster) settleForeign(f *ForeignTask) {
 // markDirty is an allowed touch point for node wake bookkeeping.
 func (c *Cluster) markDirty(n *Node, at float64) {
 	n.wakeAt = at
-	n.dirty = true
 }
 
 // evilSettle duplicates settleApp's body outside the allowlist: exactly
@@ -98,17 +96,16 @@ func trailingAllow(a *App) {
 	a.deadline = 0 //moevet:allow settledstate test harness resets the deadline between scenarios
 }
 
-// computeNodeRates is the pure rate half of rating a node: allowed to place
-// the wake time it derives.
-func (c *Cluster) computeNodeRates(n *Node) {
+// rateNode is the engine's per-node rate pass: allowed to place the wake
+// time it derives.
+func (c *Cluster) rateNode(n *Node) {
 	n.wakeAt = c.now
 }
 
-// wakeShortcut recomputes a wake time and re-dirties a node outside the
-// engine's touch points: the stray-writer class the analyzer exists to catch.
+// wakeShortcut recomputes a wake time outside the engine's touch points:
+// the stray-writer class the analyzer exists to catch.
 func wakeShortcut(n *Node, at float64) {
-	n.wakeAt = at  // want `write to settle-discipline field Node.wakeAt`
-	n.dirty = true // want `write to settle-discipline field Node.dirty`
+	n.wakeAt = at // want `write to settle-discipline field Node.wakeAt`
 }
 
 // Grow is an allowed touch point: it rewrites the allocation and refreshes

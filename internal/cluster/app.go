@@ -246,7 +246,3 @@ type Executor struct {
 
 // Rate returns the executor's current processing rate in GB/s.
 func (e *Executor) Rate() float64 { return e.rate }
-
-// ProcessedGB returns the work this executor has processed so far, exact as
-// of the owning app's last settle point.
-func (e *Executor) ProcessedGB() float64 { return e.processedGB }

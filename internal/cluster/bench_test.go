@@ -230,7 +230,7 @@ func colocationRun(b *testing.B, apps int) {
 
 // BenchmarkColocationEngine20000 / 100000 time the rate pass on a dense
 // co-location fleet (~10 executors per node, every event dirtying most of
-// the fleet), where computeNodeRates is the largest slice of each event.
+// the fleet), where rateNode is the largest slice of each event.
 func BenchmarkColocationEngine20000(b *testing.B)  { colocationRun(b, 20000) }
 func BenchmarkColocationEngine100000(b *testing.B) { colocationRun(b, 100000) }
 

@@ -405,36 +405,6 @@ func TestTraceSamplesUtilization(t *testing.T) {
 	}
 }
 
-func TestResourceMonitorWindowing(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
-	m := NewResourceMonitor(c, 300)
-	m.Observe()
-	if m.CPULoad(0) != 0 {
-		t.Errorf("idle cluster CPU = %v", m.CPULoad(0))
-	}
-	// Place an executor manually and advance the clock via a short run.
-	b := testBench(t, "HB.Sort")
-	app := &App{ID: 0, Job: workload.Job{Bench: b, InputGB: 10}, RemainingGB: 10, MaxExecutors: 1, State: StateReady}
-	if _, err := c.Spawn(app, c.Nodes()[0], 10, 10); err != nil {
-		t.Fatal(err)
-	}
-	m.Observe()
-	// Zero elapsed time: EMA must not jump fully.
-	if m.CPULoad(0) >= b.CPULoad {
-		t.Errorf("windowed CPU %v jumped immediately to %v", m.CPULoad(0), b.CPULoad)
-	}
-	// Instant monitor follows immediately.
-	mi := NewResourceMonitor(c, 0)
-	mi.Observe()
-	if math.Abs(mi.CPULoad(0)-b.CPULoad) > 1e-9 {
-		t.Errorf("instant monitor CPU %v, want %v", mi.CPULoad(0), b.CPULoad)
-	}
-	if mi.MemoryGB(0) <= 0 {
-		t.Error("instant monitor memory should be positive")
-	}
-}
-
 func TestAppStateString(t *testing.T) {
 	states := []AppState{StateQueued, StateProfiling, StateReady, StateRunning, StateDone, AppState(99)}
 	for _, s := range states {

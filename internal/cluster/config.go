@@ -180,11 +180,16 @@ func (c Config) UsableGB() float64 { return c.RAMGB - c.OSReserveGB }
 // pressure watermark keeps a safety band below the physical limit, exactly
 // like YARN's node-manager resource setting.
 func (c Config) AllocatableGB() float64 {
-	w := c.PressureWatermark
-	if w <= 0 || w > 1 {
-		w = 1
+	return allocatable(c.PressureWatermark, c.UsableGB())
+}
+
+// allocatable applies a pressure watermark to usable memory; a watermark
+// outside (0, 1] advertises all of it.
+func allocatable(watermark, usableGB float64) float64 {
+	if watermark <= 0 || watermark > 1 {
+		watermark = 1
 	}
-	return w * c.UsableGB()
+	return watermark * usableGB
 }
 
 // NodesFor returns the executor-fleet size Spark's dynamic allocation picks

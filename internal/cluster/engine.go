@@ -81,11 +81,6 @@ type Cluster struct {
 	trace      *Trace
 	nextNodeID int
 
-	// classed is set when any submission carries a non-zero tenant class;
-	// untagged runs skip the weighted-admission ordering entirely so the
-	// single-class path stays bit-for-bit identical to the pre-class engine.
-	classed bool
-
 	// Event index (see eventindex.go): active sets and done-counters keep
 	// the per-event loops proportional to in-flight work, the dirty-node
 	// bitmap and the wake heap keep rate recomputation proportional to what
@@ -104,10 +99,10 @@ type Cluster struct {
 	// removed from c.nodes (a drained or failed node keeps its slot).
 	dirtyBits  []uint64
 	dirtyCount int
-	// wakes is the lazy-deletion heap of node wake-ups: the rate pass pushes
-	// a node's next startup/migration gate expiry so the node is re-dirtied
-	// the instant a zero rate comes alive.
-	wakes wakeHeap
+	// wakes holds node wake-up entries: the rate pass pushes a node's next
+	// startup/migration gate expiry so the node is re-dirtied the instant a
+	// zero rate comes alive.
+	wakes completionHeap
 	// completions is the lazy-deletion min-heap of absolute completion
 	// deadlines; completionSeq numbers pushes so equal deadlines pop FIFO.
 	// touchedApps/touchedForeign collect the entities whose deadlines must be
@@ -204,38 +199,13 @@ func (c *Cluster) Apps() []*App { return c.apps }
 // TotalOOMKills counts executors killed for overflowing RAM+swap.
 func (c *Cluster) TotalOOMKills() int { return c.totalOOM }
 
-// TotalFailKills counts executors killed by node failures.
-func (c *Cluster) TotalFailKills() int { return c.totalFailKills }
-
 // TotalPreemptKills counts executors killed by higher-priority preemption.
 func (c *Cluster) TotalPreemptKills() int { return c.totalPreemptKills }
 
-// TotalMigrations counts executors gracefully moved off draining nodes.
-func (c *Cluster) TotalMigrations() int { return c.totalMigrations }
-
-// TotalOOMRetries counts OOM blacklist entries granted a cool-off expiry
-// under Config.OOMRetryBudget.
-func (c *Cluster) TotalOOMRetries() int { return c.totalRetries }
-
-// TotalLostWorkGB is the reprocessing work charged back across all kills
-// (OOM, node failure, preemption): the sum of actual RemainingGB increases.
-func (c *Cluster) TotalLostWorkGB() float64 { return c.totalLostGB }
-
-// AvailableNodes counts nodes currently accepting placements.
-func (c *Cluster) AvailableNodes() int {
-	var n int
-	for _, node := range c.nodes {
-		if node.Available() {
-			n++
-		}
-	}
-	return n
-}
-
 // WaitingApps returns the ready-or-running applications that still have
-// unassigned work and spare executor slots. Untagged runs list them in FCFS
-// order; once any submission carries a tenant class the list is weighted
-// FCFS — higher-weight classes first, submission order within a class.
+// unassigned work and spare executor slots in weighted FCFS order:
+// higher-weight classes first, submission order within a class. Untagged
+// runs (every weight zero) list them in plain FCFS order.
 func (c *Cluster) WaitingApps() []*App { return c.AppendWaitingApps(nil) }
 
 // AppendWaitingApps is the allocation-free form of WaitingApps for hot-path
@@ -251,16 +221,13 @@ func (c *Cluster) AppendWaitingApps(buf []*App) []*App {
 			buf = append(buf, a)
 		}
 	}
-	if c.classed {
-		// Stable insertion sort by descending class weight: allocation-free,
-		// and the waiting set is small (bounded by in-flight apps). Equal
-		// weights keep submission order, so an all-equal-weight run is
-		// untouched.
-		tail := buf[start:]
-		for i := 1; i < len(tail); i++ {
-			for j := i; j > 0 && tail[j].Class.Weight > tail[j-1].Class.Weight; j-- {
-				tail[j], tail[j-1] = tail[j-1], tail[j]
-			}
+	// Stable insertion sort by descending class weight: allocation-free,
+	// and the waiting set is small (bounded by in-flight apps). Equal
+	// weights keep submission order, so an untagged run is untouched.
+	tail := buf[start:]
+	for i := 1; i < len(tail); i++ {
+		for j := i; j > 0 && tail[j].Class.Weight > tail[j-1].Class.Weight; j-- {
+			tail[j], tail[j-1] = tail[j-1], tail[j]
 		}
 	}
 	return buf
@@ -633,9 +600,6 @@ func (c *Cluster) RunOpen(subs []Submission, sched Scheduler) (*Result, error) {
 		if s.At < 0 || math.IsNaN(s.At) || math.IsInf(s.At, 0) {
 			return nil, fmt.Errorf("cluster: invalid submission time %v", s.At)
 		}
-		if s.Class != (workload.Class{}) {
-			c.classed = true
-		}
 	}
 	c.observer, _ = sched.(Observer)
 	c.pending = make([]Submission, len(subs))
@@ -795,36 +759,38 @@ func (c *Cluster) recomputeRates() {
 	// Drain until the count reaches zero rather than making one pass:
 	// rateNode's enforceOOM can call markDirty mid-drain (today only for the
 	// node being rated, whose bit is still set, but a single pass would
-	// silently strand a node marked behind the cursor with dirty=true).
+	// silently strand a bit set behind the cursor).
 	for c.dirtyCount > 0 {
 		for w := 0; w < len(c.dirtyBits) && c.dirtyCount > 0; w++ {
 			for c.dirtyBits[w] != 0 {
 				b := bits.TrailingZeros64(c.dirtyBits[w])
-				n := c.nodes[w<<6|b]
-				c.rateNode(n)
+				c.rateNode(c.nodes[w<<6|b])
 				c.dirtyBits[w] &^= 1 << b
-				n.dirty = false
 				c.dirtyCount--
 			}
 		}
 	}
 }
 
-// rateNode recomputes every rate on one node: the settle/OOM half followed
-// by the pure rate half.
+// rateNode recomputes every rate on one node. It first settles every
+// resident entity's progress under the OLD rates (they held from the last
+// settle point up to this instant) and queues deadline refreshes — even for
+// entities already settled this iteration, since the new rates shift their
+// deadlines — then applies OOM kills. OOM charge-backs on different nodes
+// can touch the same application, which is why recomputeRates visits dirty
+// nodes in node-ID order. It then recomputes every rate on the node from its
+// settled state and refreshes the node's wake-up: the earliest future
+// startup expiry among its executors, re-registered on the wake heap when it
+// changed so the node is re-dirtied the instant a zero rate comes alive. A
+// live executor's rate is
+//
+//	ScanRate × speed × cpuFactor × interference × pageFactor × cacheEff × heapFactor
+//
+// where cacheEff is the factor refreshCacheEff cached at Spawn/Grow (its
+// inputs change nowhere else) and the others are recomputed here; the
+// product keeps this order so every rate is bit-identical to the uncached
+// evaluation refCheckRates performs.
 func (c *Cluster) rateNode(n *Node) {
-	c.settleNode(n)
-	c.computeNodeRates(n)
-}
-
-// settleNode is the serial half of rating one node: settle every resident
-// entity's progress under the OLD rates (they held from the last settle
-// point up to this instant) and queue deadline refreshes — even for entities
-// already settled this iteration, since the new rates shift their deadlines —
-// then apply OOM kills. Across a dirty set it must run in node-ID order
-// before any rate is reassigned: OOM charge-backs on different nodes can
-// touch the same application.
-func (c *Cluster) settleNode(n *Node) {
 	for _, e := range n.Executors {
 		c.settleApp(e.App)
 		c.touchApp(e.App)
@@ -836,22 +802,7 @@ func (c *Cluster) settleNode(n *Node) {
 		}
 	}
 	c.enforceOOM(n)
-}
 
-// computeNodeRates is the pure half: recompute every rate on the node from
-// its settled state and refresh the node's wake-up — the earliest future
-// startup expiry among its executors, re-registered on the wake heap when it
-// changed so the node is re-dirtied the instant a zero rate comes alive. It
-// reads only node-local state plus per-app startup gates and writes only the
-// node's own rates and wake time. A live executor's rate is
-//
-//	ScanRate × speed × cpuFactor × interference × pageFactor × cacheEff × heapFactor
-//
-// where cacheEff is the factor refreshCacheEff cached at Spawn/Grow (its
-// inputs change nowhere else) and the others are recomputed here; the
-// product keeps this order so every rate is bit-identical to the uncached
-// evaluation refCheckRates performs.
-func (c *Cluster) computeNodeRates(n *Node) {
 	sumD := n.CPUDemand()
 	usable := n.Spec.UsableGB()
 	speed := n.Spec.SpeedFactor
@@ -901,7 +852,7 @@ func (c *Cluster) computeNodeRates(n *Node) {
 	if wake != n.wakeAt {
 		n.wakeAt = wake
 		if !math.IsInf(wake, 1) {
-			c.wakes.push(wake, n)
+			c.wakes.push(completionEntry{at: wake, n: n})
 		}
 	}
 }
@@ -1064,27 +1015,13 @@ func appRate(a *App) float64 {
 func (c *Cluster) nextEventDt() (float64, bool) {
 	const tiny = 1e-9
 	best := math.Inf(1)
-	for len(c.completions) > 0 {
-		top := c.completions[0]
-		if top.stale() {
-			c.completions.pop()
-			continue
-		}
-		if dt := top.at - c.now; dt < best {
-			best = dt
-		}
-		break
+	if top, ok := c.completions.live(); ok {
+		best = top.at - c.now
 	}
-	for len(c.wakes) > 0 {
-		top := c.wakes[0]
-		if top.n.wakeAt != top.at {
-			c.wakes.pop()
-			continue
-		}
+	if top, ok := c.wakes.live(); ok {
 		if dt := top.at - c.now; dt < best {
 			best = dt
 		}
-		break
 	}
 	if len(c.pending) > 0 {
 		if dt := c.pending[0].At - c.now; dt < best {
@@ -1131,13 +1068,9 @@ func (c *Cluster) advance(dt float64) {
 func (c *Cluster) popCompletions() {
 	const tiny = 1e-9
 	appsDone, profilingLeft, foreignDone := false, false, false
-	for len(c.completions) > 0 {
-		top := c.completions[0]
-		if top.stale() {
-			c.completions.pop()
-			continue
-		}
-		if top.at > c.now+tiny {
+	for {
+		top, ok := c.completions.live()
+		if !ok || top.at > c.now+tiny {
 			break
 		}
 		c.completions.pop()

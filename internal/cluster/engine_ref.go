@@ -136,8 +136,7 @@ func (c *Cluster) refAllDone() bool {
 	return true
 }
 
-// refWaitingApps is the full-apps-scan waiting set (including the classed
-// weighted ordering).
+// refWaitingApps is the full-apps-scan waiting set in weighted FCFS order.
 func (c *Cluster) refWaitingApps() []*App {
 	var buf []*App
 	for _, a := range c.apps {
@@ -146,11 +145,9 @@ func (c *Cluster) refWaitingApps() []*App {
 			buf = append(buf, a)
 		}
 	}
-	if c.classed {
-		for i := 1; i < len(buf); i++ {
-			for j := i; j > 0 && buf[j].Class.Weight > buf[j-1].Class.Weight; j-- {
-				buf[j], buf[j-1] = buf[j-1], buf[j]
-			}
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && buf[j].Class.Weight > buf[j-1].Class.Weight; j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
 		}
 	}
 	return buf

@@ -38,106 +38,37 @@ import "math"
 // recompute to bit-identical values. Such nodes are skipped entirely; every
 // mutation that can change a rate marks its node dirty (see markDirty), and
 // startup expiries — the one rate change that arrives with the clock rather
-// than with a mutation — are re-dirtied through the wake heap.
+// than with a mutation — are re-dirtied through node entries on a second
+// completion heap, the wake heap (Cluster.wakes).
 
-// nodeWake is one scheduled rate wake-up: node n must be re-dirtied at time
-// at because an executor's startup gate expires then.
-type nodeWake struct {
-	at float64
-	n  *Node
-}
-
-// wakeHeap is a hand-rolled min-heap of node wake-ups ordered by time, with
-// lazy deletion: an entry is live only while its node's wakeAt still equals
-// the entry's time. Re-dirtying a node rewrites n.wakeAt (and pushes a fresh
-// entry if a future expiry remains), which invalidates any older entries in
-// place; they are discarded when they surface at the top. The invariant is
-// one-directional — whenever n.wakeAt is finite, an entry with exactly that
-// time is somewhere in the heap — so a peek never misses a due wake-up.
-type wakeHeap []nodeWake
-
-// push adds a wake-up entry.
-func (h *wakeHeap) push(at float64, n *Node) {
-	*h = append(*h, nodeWake{at: at, n: n})
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].at <= (*h)[i].at {
-			break
-		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest entry; callers must check ok.
-func (h *wakeHeap) pop() (nodeWake, bool) {
-	if len(*h) == 0 {
-		return nodeWake{}, false
-	}
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	(*h)[last] = nodeWake{}
-	*h = (*h)[:last]
-	h.siftDown(0)
-	return top, true
-}
-
-// siftDown restores the heap order below index i.
-func (h *wakeHeap) siftDown(i int) {
-	n := len(*h)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && (*h)[left].at < (*h)[smallest].at {
-			smallest = left
-		}
-		if right < n && (*h)[right].at < (*h)[smallest].at {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-}
-
-// markDirty queues a node for the next rate recomputation pass. Every
-// mutation that can change an executor or foreign rate on the node must call
-// it: executor membership changes (Spawn, removeExecutor — which covers app
-// completion, OOM kills, node-failure kills and preemption), reservation and
-// allocation changes (Grow), foreign-task arrival and completion, node
-// lifecycle events, and startup-expiry wake-ups. Idempotent per pass. The
-// first mark of a joined node grows the bitmap to cover its ID.
+// markDirty queues a node for the next rate recomputation pass by setting
+// its bit in the dirty bitmap. Every mutation that can change an executor or
+// foreign rate on the node must call it: executor membership changes (Spawn,
+// removeExecutor — which covers app completion, OOM kills, node-failure kills
+// and preemption), reservation and allocation changes (Grow), foreign-task
+// arrival and completion, node lifecycle events, and startup-expiry wake-ups.
+// Idempotent per pass. The first mark of a joined node grows the bitmap to
+// cover its ID.
 func (c *Cluster) markDirty(n *Node) {
-	if !n.dirty {
-		n.dirty = true
-		w := n.ID >> 6
-		for len(c.dirtyBits) <= w {
-			c.dirtyBits = append(c.dirtyBits, 0)
-		}
-		c.dirtyBits[w] |= 1 << (n.ID & 63)
+	w, bit := n.ID>>6, uint64(1)<<(n.ID&63)
+	for len(c.dirtyBits) <= w {
+		c.dirtyBits = append(c.dirtyBits, 0)
+	}
+	if c.dirtyBits[w]&bit == 0 {
+		c.dirtyBits[w] |= bit
 		c.dirtyCount++
 	}
 }
 
-// wakeExpiredNodes pops every due wake-up off the heap and re-dirties its
-// node, discarding entries invalidated by a later recompute. The comparison
-// is strict-past (at <= now), mirroring the startupUntil > now gate in the
-// rate formula: the node recomputes on exactly the event where the gate
-// flips.
+// wakeExpiredNodes pops every due wake-up off the wake heap and re-dirties
+// its node; entries invalidated by a later recompute are discarded in
+// passing. The comparison is strict-past (at <= now), mirroring the
+// startupUntil > now gate in the rate formula: the node recomputes on exactly
+// the event where the gate flips.
 func (c *Cluster) wakeExpiredNodes() {
-	for len(c.wakes) > 0 {
-		top := c.wakes[0]
-		if top.n.wakeAt != top.at {
-			// Stale: the node's wake time was rewritten since this entry was
-			// pushed.
-			c.wakes.pop()
-			continue
-		}
-		if top.at > c.now {
+	for {
+		top, ok := c.wakes.live()
+		if !ok || top.at > c.now {
 			return
 		}
 		c.wakes.pop()
@@ -146,25 +77,32 @@ func (c *Cluster) wakeExpiredNodes() {
 	}
 }
 
-// completionEntry is one scheduled completion: the app (or foreign task, when
-// app is nil) is expected to finish at absolute time at. seq is the push
-// counter, breaking ties between equal deadlines so pops stay FIFO in
-// registration order and heap compaction cannot reorder same-time events.
+// completionEntry is one scheduled event on a lazy-deletion heap: the app,
+// foreign task or node (exactly one is set) is due at absolute time at. An
+// app or foreign entry is a completion deadline; a node entry is a rate
+// wake-up, the instant an executor's startup or migration gate on node n
+// expires. seq is the push counter, breaking ties between equal deadlines so
+// pops stay FIFO in registration order and heap compaction cannot reorder
+// same-time events. Wake entries carry seq 0: wakeExpiredNodes only sets
+// dirty bits, so the order among equal wake times does not matter.
 type completionEntry struct {
 	at  float64
 	seq uint64
 	app *App
 	f   *ForeignTask
+	n   *Node
 }
 
-// completionHeap is a lazy-deletion min-heap of completion deadlines ordered
-// by (at, seq), with the same one-directional invariant as the wake heap: an
-// entry is live only while its entity's stored deadline still equals the
-// entry's time (and the entity is not already done), and whenever an entity
-// holds a finite deadline an entry with exactly that time is somewhere in the
-// heap. Re-registering a deadline just pushes a fresh entry; stale ones are
-// discarded when they surface at the top, or swept out by compact once they
-// dominate the slice.
+// completionHeap is a min-heap ordered by (at, seq) with lazy deletion: an
+// entry is live only while its entity's stored time (App.deadline,
+// ForeignTask.deadline or Node.wakeAt) still equals the entry's time and the
+// entity is not already done. The invariant is one-directional — whenever an
+// entity holds a finite time, an entry with exactly that time is somewhere in
+// the heap — so the live top is never later than a due event. Re-registering
+// just pushes a fresh entry; stale ones are discarded when they surface at
+// the top, or swept out by compact once they dominate the slice. The engine
+// keeps two: Cluster.completions for deadlines and Cluster.wakes for node
+// wake-ups.
 type completionHeap []completionEntry
 
 // before is the heap order: earlier deadline first, push order among equals.
@@ -175,13 +113,14 @@ func (h completionHeap) before(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-// push adds a completion entry.
+// push adds an entry. It rises only while strictly before its parent, so
+// wake entries with equal times (all seq 0) do not swap past each other.
 func (h *completionHeap) push(e completionEntry) {
 	*h = append(*h, e)
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.before(parent, i) {
+		if !h.before(i, parent) {
 			break
 		}
 		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
@@ -224,13 +163,28 @@ func (h *completionHeap) siftDown(i int) {
 }
 
 // stale reports whether the entry no longer speaks for its entity: the
-// stored deadline moved (a later settle re-registered it) or the entity
-// already completed.
+// stored time moved (a later settle or rate pass re-registered it) or the
+// app or foreign task already completed.
 func (e completionEntry) stale() bool {
-	if e.app != nil {
+	switch {
+	case e.app != nil:
 		return e.app.deadline != e.at || e.app.State == StateDone
+	case e.f != nil:
+		return e.f.deadline != e.at || e.f.done
 	}
-	return e.f.deadline != e.at || e.f.done
+	return e.n.wakeAt != e.at
+}
+
+// live discards stale entries off the top and returns the live top; ok is
+// false when no live entry remains.
+func (h *completionHeap) live() (top completionEntry, ok bool) {
+	for len(*h) > 0 {
+		if top = (*h)[0]; !top.stale() {
+			return top, true
+		}
+		h.pop()
+	}
+	return completionEntry{}, false
 }
 
 // compact drops every stale entry and re-heapifies in place. Pop order is

@@ -14,8 +14,8 @@ import (
 // one-screen reproduction instead of a diverging 20k-app run.
 
 // TestCompletionEntryStaleness pins the validity rule: an entry speaks for
-// its entity only while the stored deadline still equals the entry's time and
-// the entity has not completed.
+// its entity only while the stored deadline (or a node's wake time) still
+// equals the entry's time and the entity has not completed.
 func TestCompletionEntryStaleness(t *testing.T) {
 	a := &App{ID: 1, State: StateRunning, deadline: 50}
 	e := completionEntry{at: 50, seq: 1, app: a}
@@ -43,6 +43,24 @@ func TestCompletionEntryStaleness(t *testing.T) {
 	f.done = true
 	if !fe.stale() {
 		t.Error("entry for a done foreign task must be stale")
+	}
+
+	// Node wake-up entries live on the same heap type: live while the
+	// node's wake time still equals the entry's, stale once it moves.
+	n := &Node{ID: 3, wakeAt: 20}
+	we := completionEntry{at: 20, n: n}
+	if we.stale() {
+		t.Error("matching wake time on a node must be fresh")
+	}
+	//moevet:allow settledstate staleness unit test moves the wake time by hand; no engine is running
+	n.wakeAt = 25 // a later rate pass re-registered the wake-up
+	if !we.stale() {
+		t.Error("wake entry must go stale when the node's wake time moves")
+	}
+	//moevet:allow settledstate staleness unit test clears the wake time by hand; no engine is running
+	n.wakeAt = math.Inf(1) // the wake-up fired
+	if !we.stale() {
+		t.Error("wake entry must be stale once the node has no pending wake-up")
 	}
 }
 

@@ -318,20 +318,20 @@ func (c *Cluster) unblockNode(id int) {
 // targets (the event script is wrong); a decommissioned node resolves to
 // (nil, nil) — whether a drain completes before or after a later event
 // against the same node fires depends on workload timing, so the event is a
-// no-op rather than an error.
+// no-op rather than an error. Node.ID is the node's index in c.nodes (see
+// Cluster.dirtyBits).
 func (c *Cluster) nodeByID(id int, kind NodeEventKind) (*Node, error) {
-	for _, n := range c.nodes {
-		if n.ID == id {
-			if n.state == NodeFailed {
-				return nil, fmt.Errorf("cluster: %s event targets node %d, which already failed", kind, id)
-			}
-			if n.state == NodeRemoved {
-				return nil, nil
-			}
-			return n, nil
-		}
+	if id < 0 || id >= len(c.nodes) {
+		return nil, fmt.Errorf("cluster: %s event targets unknown node %d", kind, id)
 	}
-	return nil, fmt.Errorf("cluster: %s event targets unknown node %d", kind, id)
+	n := c.nodes[id]
+	if n.state == NodeFailed {
+		return nil, fmt.Errorf("cluster: %s event targets node %d, which already failed", kind, id)
+	}
+	if n.state == NodeRemoved {
+		return nil, nil
+	}
+	return n, nil
 }
 
 // failNode kills everything resident on the node and removes it from

@@ -57,18 +57,10 @@ type Node struct {
 	JoinTime  float64
 	StateTime float64
 
-	cfg    Config
-	state  NodeState
-	cpuCap float64
+	state   NodeState
+	cpuCap  float64
+	allocGB float64
 
-	// dirty marks the node for the next rate recomputation pass: something
-	// that feeds its executors' rates changed (executor membership, a Grow,
-	// a foreign task arriving or finishing, a lifecycle event, a startup
-	// expiry). Clean nodes keep their previously-computed rates, which are
-	// bit-identical to what a recompute would produce. Always set via
-	// Cluster.markDirty so the node's bit is set in the cluster's dirty
-	// bitmap.
-	dirty bool
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from
 	// zero to positive with no membership change, so the node must be
@@ -78,13 +70,15 @@ type Node struct {
 }
 
 // newNode builds a node with its CPU capacity normalised against the
-// platform's baseline cores.
+// platform's baseline cores and its allocatable memory under the platform
+// watermark.
 func newNode(id int, spec NodeSpec, cfg Config, joinTime float64) *Node {
 	return &Node{
-		ID: id, Spec: spec, cfg: cfg,
+		ID: id, Spec: spec,
 		JoinTime: joinTime, StateTime: joinTime,
-		cpuCap: float64(spec.Cores) / float64(cfg.baselineCores()),
-		wakeAt: math.Inf(1),
+		cpuCap:  float64(spec.Cores) / float64(cfg.baselineCores()),
+		allocGB: allocatable(cfg.PressureWatermark, spec.UsableGB()),
+		wakeAt:  math.Inf(1),
 	}
 }
 
@@ -100,13 +94,7 @@ func (n *Node) UsableGB() float64 { return n.Spec.UsableGB() }
 // AllocatableGB is the memory this node advertises for reservations: the
 // platform pressure watermark keeps a safety band below the node's physical
 // limit, exactly like YARN's node-manager resource setting.
-func (n *Node) AllocatableGB() float64 {
-	w := n.cfg.PressureWatermark
-	if w <= 0 || w > 1 {
-		w = 1
-	}
-	return w * n.Spec.UsableGB()
-}
+func (n *Node) AllocatableGB() float64 { return n.allocGB }
 
 // CPUCapacity is the node's CPU capacity in baseline-node units: aggregate
 // demand beyond it is time-shared.
@@ -180,14 +168,10 @@ func (n *Node) Utilization() float64 {
 }
 
 // AppCount returns the number of distinct applications with an executor on
-// this node.
-func (n *Node) AppCount() int {
-	seen := map[int]bool{}
-	for _, e := range n.Executors {
-		seen[e.App.ID] = true
-	}
-	return len(seen)
-}
+// this node. An app holds at most one executor per node (Spawn rejects a
+// second with ErrAlreadyOnNode, migration skips nodes the app is already
+// on), so this is the executor count.
+func (n *Node) AppCount() int { return len(n.Executors) }
 
 // ForeignTask is a non-Spark co-runner (the PARSEC programs of Figure 15):
 // a CPU-bound job with a fixed working set, measured in seconds of isolated

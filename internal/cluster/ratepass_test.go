@@ -51,6 +51,45 @@ func TestGrowRefreshesCacheEff(t *testing.T) {
 	}
 }
 
+// TestMarkDirtyCountsNodeOnce pins the dirty bitmap as the only dirty set:
+// marking one node twice sets one bit, and the first mark of a joined node
+// whose ID lies past the bitmap grows it to cover that ID.
+func TestMarkDirtyCountsNodeOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 64
+	c := New(cfg)
+	c.resetIndex() // marks every node, filling exactly one word
+	c.recomputeRates()
+	if c.dirtyCount != 0 || len(c.dirtyBits) != 1 {
+		t.Fatalf("after the first pass: dirtyCount %d, %d words; want 0, 1", c.dirtyCount, len(c.dirtyBits))
+	}
+	n := c.Nodes()[3]
+	c.markDirty(n)
+	c.markDirty(n)
+	if c.dirtyCount != 1 || c.dirtyBits[0] != 1<<3 {
+		t.Fatalf("two marks of node 3: dirtyCount %d, word %#x; want 1, %#x", c.dirtyCount, c.dirtyBits[0], 1<<3)
+	}
+	c.recomputeRates()
+
+	if err := c.ScheduleNodeEvents(NodeEvent{At: 0, Kind: NodeJoin}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.applyNodeEvents(); err != nil {
+		t.Fatal(err)
+	}
+	joined := c.Nodes()[64]
+	if joined.ID != 64 {
+		t.Fatalf("joined node ID %d, want 64", joined.ID)
+	}
+	if c.dirtyCount != 1 || len(c.dirtyBits) != 2 || c.dirtyBits[1] != 1 {
+		t.Fatalf("after the join: dirtyCount %d, bitmap %#x; want 1, [0 0x1]", c.dirtyCount, c.dirtyBits)
+	}
+	c.markDirty(joined)
+	if c.dirtyCount != 1 {
+		t.Errorf("re-marking the joined node: dirtyCount %d, want 1", c.dirtyCount)
+	}
+}
+
 // TestExecutorSizeClass pins Executor in the 112-byte allocation size class.
 // One more float64 field moves it to the 128-byte class; measured on the
 // coloc-dense benchmark workload, that raised alloc_mb by 10.8%, past the

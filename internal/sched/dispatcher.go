@@ -187,7 +187,6 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 		return
 	}
 	cfg := c.Config()
-	demand := app.Job.Bench.CPULoad
 	// The estimate is app-level state: fetch it once per placement pass and
 	// thread it through planning and the PredictedGB stamp, so the stamp is
 	// guaranteed to come from the same estimate the plan used.
@@ -198,19 +197,7 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 	}
 	d.cand.reset()
 	for _, n := range c.Nodes() {
-		if !n.Available() {
-			continue
-		}
-		if app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
-			continue
-		}
-		if d.MaxAppsPerNode > 0 && n.AppCount() >= d.MaxAppsPerNode {
-			continue
-		}
-		if d.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9 {
-			continue
-		}
-		if n.FreeGB() <= cfg.MinChunkGB {
+		if _, ok := d.admits(c, app, n, cfg.MinChunkGB); !ok {
 			continue
 		}
 		score := 0.0
@@ -241,6 +228,25 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 			e.PredictedGB = est.Footprint(e.ItemsGB)
 		}
 	}
+}
+
+// admits applies the dispatcher's per-node admission checks for app: the
+// node is available, holds no executor of the app, is not on the app's OOM
+// blacklist unless empty, is under MaxAppsPerNode, has CPU headroom when
+// CheckCPU is set, and has more than minChunkGB free. It returns the node's
+// free memory when the node passes.
+func (d *Dispatcher) admits(c *cluster.Cluster, app *cluster.App, n *cluster.Node, minChunkGB float64) (free float64, ok bool) {
+	if !n.Available() || app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
+		return 0, false
+	}
+	if d.MaxAppsPerNode > 0 && n.AppCount() >= d.MaxAppsPerNode {
+		return 0, false
+	}
+	if d.CheckCPU && n.CPUDemand()+app.Job.Bench.CPULoad > n.CPUCapacity()+1e-9 {
+		return 0, false
+	}
+	free = n.FreeGB()
+	return free, free > minChunkGB
 }
 
 // plan decides the reservation and data allocation for a prospective

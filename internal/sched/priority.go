@@ -149,31 +149,20 @@ func (p *priority) preemptStarved(c *cluster.Cluster) {
 }
 
 // placeable reports whether the inner dispatcher could start the app right
-// now: some node passes the dispatcher's admission checks (availability,
-// blacklist, per-node app cap, CPU rule, minimum free memory) and the
-// dispatcher's allocation plan yields a spawnable executor there.
+// now: some node passes the dispatcher's admission checks (Dispatcher.admits)
+// and the dispatcher's allocation plan yields a spawnable executor there.
 // Preemption that fires anyway would kill batch work for a placement that
 // needed none.
 func (p *priority) placeable(c *cluster.Cluster, app *cluster.App) bool {
 	cfg := c.Config()
-	demand := app.Job.Bench.CPULoad
 	var est MemEstimate
 	haveEst := false
 	if p.inner.Est != nil {
 		est, haveEst = p.inner.Est.Estimate(app)
 	}
 	for _, n := range c.Nodes() {
-		if !n.Available() || app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
-			continue
-		}
-		if p.inner.MaxAppsPerNode > 0 && n.AppCount() >= p.inner.MaxAppsPerNode {
-			continue
-		}
-		if p.inner.CheckCPU && n.CPUDemand()+demand > n.CPUCapacity()+1e-9 {
-			continue
-		}
-		free := n.FreeGB()
-		if free <= cfg.MinChunkGB {
+		free, ok := p.inner.admits(c, app, n, cfg.MinChunkGB)
+		if !ok {
 			continue
 		}
 		if _, _, ok := p.inner.plan(cfg, app, n, free, est, haveEst); ok {
