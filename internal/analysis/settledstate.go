@@ -30,6 +30,15 @@ var settledFields = map[string]map[string]bool{
 	},
 	"Node": {
 		"wakeAt": true,
+		// reservedGB, actualGB and cpuDemand cache the node's memory and CPU
+		// sums; resum rebuilds them from the executor and foreign lists, so a
+		// write to either list (or to an input below) outside the mutation
+		// points would leave them stale.
+		"reservedGB": true,
+		"actualGB":   true,
+		"cpuDemand":  true,
+		"Executors":  true,
+		"Foreign":    true,
 	},
 	"Executor": {
 		// gateUntil feeds the rate formula and the wake heap exactly like
@@ -43,6 +52,11 @@ var settledFields = map[string]map[string]bool{
 		"ItemsGB":     true,
 		"FairShareGB": true,
 		"cacheEff":    true,
+		// ReservedGB, ActualGB and Demand are the per-executor inputs of the
+		// node's cached sums (see Node above).
+		"ReservedGB": true,
+		"ActualGB":   true,
+		"Demand":     true,
 	},
 }
 
@@ -78,12 +92,17 @@ var settleTouchPoints = map[string]bool{
 	"Spawn":           true,
 	"Grow":            true,
 	"refreshCacheEff": true,
+	// engine.go and node.go: the node-membership mutation points, each
+	// followed by the resum that rebuilds the node's cached sums.
+	"removeExecutor": true,
+	"AddForeign":     true,
+	"resum":          true,
 	// lifecycle.go: a failing node takes its co-runners with it (marks them
-	// done/Lost and re-dirties the node).
+	// done/Lost, re-sums and re-dirties the node).
 	"failNode": true,
 	// migrate.go: graceful drain migration settles the app, moves the
-	// executor (or hands its work to a sibling) and installs the
-	// checkpoint/restart gate.
+	// executor (re-summing both nodes) or hands its work to a sibling, and
+	// installs the checkpoint/restart gate.
 	"migrateFrom":     true,
 	"migrateExecutor": true,
 	"handoffExecutor": true,

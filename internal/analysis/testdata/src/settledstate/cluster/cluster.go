@@ -24,18 +24,27 @@ type ForeignTask struct {
 	done      bool
 }
 
-// Node mirrors the engine's wake bookkeeping.
+// Node mirrors the engine's wake bookkeeping and its cached memory/CPU sums
+// with the lists they are summed from.
 type Node struct {
-	ID     int
-	wakeAt float64
+	ID         int
+	wakeAt     float64
+	Executors  []*Executor
+	Foreign    []*ForeignTask
+	reservedGB float64
+	actualGB   float64
+	cpuDemand  float64
 }
 
 // Executor mirrors the engine's cached cache-efficiency factor and the
-// allocation fields it is derived from.
+// allocation fields it is derived from, plus the inputs of the node sums.
 type Executor struct {
 	ItemsGB     float64
 	FairShareGB float64
 	cacheEff    float64
+	ReservedGB  float64
+	ActualGB    float64
+	Demand      float64
 }
 
 // Cluster is the owning engine stand-in.
@@ -127,4 +136,32 @@ func shrinkInPlace(e *Executor) {
 	e.ItemsGB /= 2    // want `write to settle-discipline field Executor.ItemsGB`
 	e.FairShareGB = 0 // want `write to settle-discipline field Executor.FairShareGB`
 	e.cacheEff = 1    // want `write to settle-discipline field Executor.cacheEff`
+}
+
+// resum is the allowed helper that rebuilds a node's cached sums.
+func (n *Node) resum() {
+	n.reservedGB, n.actualGB, n.cpuDemand = 0, 0, 0
+	for _, e := range n.Executors {
+		n.reservedGB += e.ReservedGB
+		n.actualGB += e.ActualGB
+		n.cpuDemand += e.Demand
+	}
+}
+
+// removeExecutor is an allowed mutation point: it detaches the executor and
+// re-sums the node.
+func (c *Cluster) removeExecutor(n *Node, i int) {
+	n.Executors = append(n.Executors[:i], n.Executors[i+1:]...)
+	n.resum()
+}
+
+// evictInPlace drops an executor and patches the cached sums by hand outside
+// the mutation points: the stray-writer class that leaves a cache a ulp off
+// its re-sum.
+func evictInPlace(n *Node, e *Executor) {
+	n.Executors = n.Executors[:len(n.Executors)-1] // want `write to settle-discipline field Node.Executors`
+	n.reservedGB -= e.ReservedGB                   // want `write to settle-discipline field Node.reservedGB`
+	n.Foreign = nil                                // want `write to settle-discipline field Node.Foreign`
+	e.ActualGB = 0                                 // want `write to settle-discipline field Executor.ActualGB`
+	e.Demand++                                     // want `write to settle-discipline field Executor.Demand`
 }

@@ -184,7 +184,19 @@ func (a *App) blockNode(n *Node, until float64) {
 }
 
 // ExecutorOn reports whether the app already has an executor on the node.
+// An app holds at most one executor per node (Spawn rejects a second with
+// ErrAlreadyOnNode), so walking whichever of the two executor lists is
+// shorter gives the same answer: placement scans ask this for every node,
+// and a node usually hosts far fewer executors than an app's fleet.
 func (a *App) ExecutorOn(n *Node) bool {
+	if len(n.Executors) < len(a.Executors) {
+		for _, e := range n.Executors {
+			if e.App == a {
+				return true
+			}
+		}
+		return false
+	}
 	for _, e := range a.Executors {
 		if e.Node == n {
 			return true

@@ -120,8 +120,6 @@ func BenchmarkOpenSystemEngine100000(b *testing.B) { scaleRun(b, 100000) }
 // (reservation shortfall) both active on every executor.
 type colocationScheduler struct {
 	waitBuf []*App
-	free    []float64 // per-node FreeGB snapshot for the current pass
-	actual  []float64 // per-node ActualGB snapshot for the current pass
 }
 
 func (*colocationScheduler) Name() string                       { return "test-colocation" }
@@ -138,20 +136,6 @@ func (s *colocationScheduler) Schedule(c *Cluster) {
 	if len(s.waitBuf) > 48 {
 		s.waitBuf = s.waitBuf[:48]
 	}
-	// Snapshot each node's free/resident memory once per pass instead of
-	// re-summing its executor list on every visit: FreeGB and ActualGB are
-	// O(executors), and with a dozen co-runners per node the fresh sums would
-	// dwarf the engine being measured. Only this scheduler mutates the fleet
-	// between events, so refreshing the one spawned-on node keeps the
-	// snapshot exactly what a fresh read would return.
-	if len(s.free) < len(nodes) {
-		s.free = make([]float64, len(nodes))
-		s.actual = make([]float64, len(nodes))
-	}
-	for i, n := range nodes {
-		s.free[i] = n.FreeGB()
-		s.actual[i] = n.ActualGB()
-	}
 	for _, app := range s.waitBuf {
 		// One footprint-model eval per app, not per node: items stay fixed
 		// for the pass, pinned below every spawn's fair share so cacheEff is
@@ -166,21 +150,18 @@ func (s *colocationScheduler) Schedule(c *Cluster) {
 		// needed.
 		start := app.ID % len(nodes)
 		for i := 0; i < len(nodes) && len(app.Executors) < app.MaxExecutors; i++ {
-			idx := (start + i) % len(nodes)
-			n := nodes[idx]
+			n := nodes[(start+i)%len(nodes)]
 			if !n.Available() || app.BlockedOn(n, c.Now()) {
 				continue
 			}
 			// Admit by projected residency, not reservation: staying under the
 			// pressure watermark keeps the paging spiral off the benchmark.
-			if reserve > s.free[idx] || s.actual[idx]+need > 0.85*n.Spec.UsableGB() {
+			if reserve > n.FreeGB() || n.ActualGB()+need > 0.85*n.Spec.UsableGB() {
 				continue
 			}
 			if _, err := c.Spawn(app, n, reserve, items); err != nil {
 				break
 			}
-			s.free[idx] = n.FreeGB()
-			s.actual[idx] = n.ActualGB()
 		}
 	}
 }

@@ -233,9 +233,10 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pin 70GB of untracked foreign memory: actual exceeds RAM+swap.
-	hog := &ForeignTask{Name: "hog", Node: n, CPULoad: 0.05, MemoryGB: 70, WorkSec: 10, remaining: 10, DoneTime: -1}
-	n.Foreign = append(n.Foreign, hog)
-	c.foreign = append(c.foreign, hog)
+	hog, err := c.AddForeign(n.ID, "hog", 0.05, 70, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	c.recomputeRates()
 	if c.TotalOOMKills() != 1 {
@@ -253,13 +254,15 @@ func TestOOMKillAndBlacklist(t *testing.T) {
 	if app.RemainingGB <= 60-1e-9 {
 		t.Errorf("remaining %.2f, want reprocessing charge added", app.RemainingGB)
 	}
-	// An empty blacklisted node is usable again (isolation re-run).
-	for i, x := range n.Foreign {
-		_ = i
-		//moevet:allow settledstate forcing co-runner completion without an engine to test blacklisted-node reuse
-		x.done = true
+	// An empty blacklisted node is usable again (isolation re-run). Jump the
+	// clock to the hog's finish under the rate the OOM pass left it, and
+	// complete it through the engine's completion path, which settles it and
+	// rebuilds the node's sums.
+	c.now = hog.settledAt + hog.remaining/hog.rate
+	c.completeForeign(hog)
+	if !hog.Done() {
+		t.Fatal("hog did not complete")
 	}
-	n.Foreign = nil
 	if _, err := c.Spawn(app, n, 10, 60); err != nil {
 		t.Errorf("isolation re-run on empty blacklisted node should work: %v", err)
 	}

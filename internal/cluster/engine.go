@@ -151,11 +151,8 @@ type Cluster struct {
 // "simulation stalled" message. Callers that construct configs from untrusted
 // input should use NewHetero, which returns the error instead.
 func New(cfg Config) *Cluster {
-	specs := make([]NodeSpec, cfg.Nodes)
-	for i := range specs {
-		specs[i] = cfg.DefaultNodeSpec()
-	}
-	c, err := NewHetero(cfg, specs)
+	spec := cfg.DefaultNodeSpec()
+	c, err := newCluster(cfg, cfg.Nodes, func(int) NodeSpec { return spec })
 	if err != nil {
 		panic(fmt.Sprintf("cluster.New: invalid config: %v", err))
 	}
@@ -166,18 +163,26 @@ func New(cfg Config) *Cluster {
 // (the spec slice overrides cfg.Nodes). Platform-wide behaviour — penalty
 // shapes, watermark, startup latency — still comes from cfg.
 func NewHetero(cfg Config, specs []NodeSpec) (*Cluster, error) {
-	if len(specs) == 0 {
+	return newCluster(cfg, len(specs), func(i int) NodeSpec { return specs[i] })
+}
+
+// newCluster builds an idle cluster of n nodes, node i with spec(i). New
+// passes one shared spec instead of materialising a slice of n copies, which
+// keeps the per-run construction cost of closed-batch studies down.
+func newCluster(cfg Config, n int, spec func(int) NodeSpec) (*Cluster, error) {
+	if n <= 0 {
 		return nil, errors.New("cluster: need at least one node spec")
 	}
 	c := &Cluster{cfg: cfg}
-	c.nodes = make([]*Node, len(specs))
-	for i, s := range specs {
+	c.nodes = make([]*Node, n)
+	for i := range c.nodes {
+		s := spec(i)
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		c.nodes[i] = newNode(i, s, cfg, 0)
 	}
-	c.nextNodeID = len(specs)
+	c.nextNodeID = n
 	if cfg.TraceInterval > 0 {
 		c.trace = newTrace(cfg.TraceInterval)
 	}
@@ -343,6 +348,7 @@ func (c *Cluster) AddForeign(nodeID int, name string, cpuLoad, memoryGB, workSec
 		settledAt: c.now, deadline: math.Inf(1),
 	}
 	c.nodes[nodeID].Foreign = append(c.nodes[nodeID].Foreign, f)
+	c.nodes[nodeID].resum()
 	c.foreign = append(c.foreign, f)
 	c.activeForeign = append(c.activeForeign, f)
 	c.markDirty(c.nodes[nodeID])
@@ -426,6 +432,7 @@ func (c *Cluster) Spawn(app *App, node *Node, reserveGB, itemsGB float64) (*Exec
 	}
 	c.refreshCacheEff(e)
 	node.Executors = append(node.Executors, e)
+	node.resum()
 	app.Executors = append(app.Executors, e)
 	c.markDirty(node)
 	if app.State == StateReady {
@@ -481,6 +488,7 @@ func (c *Cluster) Grow(e *Executor, newReserveGB, newItemsGB float64) error {
 	c.refreshCacheEff(e)
 	e.NeedGB = e.App.Job.Bench.Footprint(newItemsGB)
 	e.ActualGB = c.resident(e.NeedGB, e.ReservedGB)
+	e.Node.resum()
 	c.markDirty(e.Node)
 	return nil
 }
@@ -502,7 +510,8 @@ func (c *Cluster) refreshCacheEff(e *Executor) {
 }
 
 // removeExecutor detaches e from its node and app. The node's co-runners
-// lose a contender, so it is marked for rate recomputation.
+// lose a contender, so its cached sums are rebuilt and it is marked for rate
+// recomputation.
 func (c *Cluster) removeExecutor(e *Executor) {
 	n := e.Node
 	c.markDirty(n)
@@ -512,6 +521,7 @@ func (c *Cluster) removeExecutor(e *Executor) {
 			break
 		}
 	}
+	n.resum()
 	a := e.App
 	for i, x := range a.Executors {
 		if x == e {
@@ -1193,12 +1203,13 @@ func (c *Cluster) completeForeign(f *ForeignTask) {
 	}
 	f.remaining = 0
 	f.done = true
+	f.Node.resum()
 	f.DoneTime = c.now
 	c.doneForeign++
 	f.deadline = math.Inf(1)
 	// The finished co-runner stops contending for CPU and its working set
-	// leaves the node's memory sums, so the survivors speed up and may
-	// un-page; the dirty mark re-rates the node.
+	// leaves the node's memory sums (the resum above), so the survivors speed
+	// up and may un-page; the dirty mark re-rates the node.
 	c.markDirty(f.Node)
 }
 

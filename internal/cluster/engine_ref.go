@@ -7,7 +7,7 @@ import (
 
 // This file holds full-scan reference implementations of event selection,
 // rate recomputation, the profiling share, the waiting set, the completion
-// check and the stored completion deadlines. They are not called by the
+// check, the stored completion deadlines and the cached node sums. They are not called by the
 // engine — the indexed paths in engine.go replaced them — but they are the
 // ground truth the index must reproduce exactly: the differential property
 // test (property_test.go) installs Cluster.checkEvent and replays these
@@ -165,10 +165,10 @@ func (c *Cluster) refWaitingApps() []*App {
 //moevet:allow refpair pure cross-checker comparing stored rates to a fresh scan; no live twin by design
 func (c *Cluster) refCheckRates() string {
 	for _, n := range c.nodes {
-		sumD := n.CPUDemand()
+		sumD := n.refCPUDemand()
 		usable := n.Spec.UsableGB()
 		speed := n.Spec.SpeedFactor
-		overflow := n.ActualGB() - c.cfg.PressureWatermark*usable
+		overflow := n.refActualGB() - c.cfg.PressureWatermark*usable
 		pageFactor := 1.0
 		if overflow > 0 {
 			pageFactor = 1 / (1 + c.cfg.PagePenalty*overflow/usable)
@@ -217,6 +217,75 @@ func (c *Cluster) refCheckRates() string {
 			if f.rate != want {
 				return fmt.Sprintf("node %d foreign %q rate %v, full recompute %v", n.ID, f.Name, f.rate, want)
 			}
+		}
+	}
+	return ""
+}
+
+// refReservedGB is the uncached sum behind Node.ReservedGB: executor
+// reservations in slice order, then the working sets of foreign tasks still
+// running.
+func (n *Node) refReservedGB() float64 {
+	var s float64
+	for _, e := range n.Executors {
+		s += e.ReservedGB
+	}
+	for _, f := range n.Foreign {
+		if f.done {
+			continue
+		}
+		s += f.MemoryGB
+	}
+	return s
+}
+
+// refActualGB is the uncached sum behind Node.ActualGB, in the same order
+// as refReservedGB.
+func (n *Node) refActualGB() float64 {
+	var s float64
+	for _, e := range n.Executors {
+		s += e.ActualGB
+	}
+	for _, f := range n.Foreign {
+		if f.done {
+			continue
+		}
+		s += f.MemoryGB
+	}
+	return s
+}
+
+// refCPUDemand is the uncached sum behind Node.CPUDemand, in the same order
+// as refReservedGB.
+func (n *Node) refCPUDemand() float64 {
+	var s float64
+	for _, e := range n.Executors {
+		s += e.Demand
+	}
+	for _, f := range n.Foreign {
+		if !f.done {
+			s += f.CPULoad
+		}
+	}
+	return s
+}
+
+// refCheckNodeSums re-sums every node's memory and CPU aggregates and
+// returns the first node whose cached sum differs from the re-summed one in
+// any bit, or "" when every cache is exact. A mutation point that forgot its
+// resum shows up here on the event where it happened.
+//
+//moevet:allow refpair pure cross-checker comparing the cached node sums to fresh ones; no live twin by design
+func (c *Cluster) refCheckNodeSums() string {
+	for _, n := range c.nodes {
+		if got, want := n.ReservedGB(), n.refReservedGB(); got != want {
+			return fmt.Sprintf("node %d cached ReservedGB %v, re-summed %v", n.ID, got, want)
+		}
+		if got, want := n.ActualGB(), n.refActualGB(); got != want {
+			return fmt.Sprintf("node %d cached ActualGB %v, re-summed %v", n.ID, got, want)
+		}
+		if got, want := n.CPUDemand(), n.refCPUDemand(); got != want {
+			return fmt.Sprintf("node %d cached CPUDemand %v, re-summed %v", n.ID, got, want)
 		}
 	}
 	return ""

@@ -12,8 +12,9 @@ import (
 // workload (optionally with foreign co-runners and trace sampling); the
 // Cluster.checkEvent hook then fires on every engine event — rates fresh,
 // advance about to run — where the heap-top event pick must equal the
-// full-scan minimum float-for-float and every stored deadline must equal a
-// fresh recompute from the settled state. This is the differential property
+// full-scan minimum float-for-float, every stored deadline must equal a
+// fresh recompute from the settled state, and every node's cached sums must
+// equal a fresh re-sum. This is the differential property
 // test of property_test.go reshaped so the fuzzer, rather than a fixed seed
 // loop, explores the workload space.
 func FuzzCompletionHeapMatchesScan(f *testing.F) {
@@ -86,6 +87,9 @@ func FuzzCompletionHeapMatchesScan(f *testing.F) {
 				t.Fatalf("event %d: next event dt (%v,%v), reference (%v,%v)", events, dt, ok, refDt, refOK)
 			}
 			if diff := c.refCheckDeadlines(share); diff != "" {
+				t.Fatalf("event %d: %s", events, diff)
+			}
+			if diff := c.refCheckNodeSums(); diff != "" {
 				t.Fatalf("event %d: %s", events, diff)
 			}
 		}

@@ -353,6 +353,7 @@ func (c *Cluster) failNode(n *Node) {
 			c.doneForeign++
 		}
 	}
+	n.resum()
 	n.state = NodeFailed
 	n.StateTime = c.now
 	c.unblockNode(n.ID)

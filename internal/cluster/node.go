@@ -61,6 +61,13 @@ type Node struct {
 	cpuCap  float64
 	allocGB float64
 
+	// reservedGB, actualGB and cpuDemand cache the sums ReservedGB, ActualGB
+	// and CPUDemand return; resum rebuilds them at every change to their
+	// inputs (moevet's settledstate enforces the write discipline).
+	reservedGB float64
+	actualGB   float64
+	cpuDemand  float64
+
 	// wakeAt is the earliest future startup expiry among this node's
 	// executors (+Inf when none): the instant an executor's rate flips from
 	// zero to positive with no membership change, so the node must be
@@ -100,39 +107,18 @@ func (n *Node) AllocatableGB() float64 { return n.allocGB }
 // demand beyond it is time-shared.
 func (n *Node) CPUCapacity() float64 { return n.cpuCap }
 
-// ReservedGB sums admission-time memory reservations (plus the working sets
-// of foreign tasks still running).
-func (n *Node) ReservedGB() float64 {
-	var s float64
-	for _, e := range n.Executors {
-		s += e.ReservedGB
-	}
-	for _, f := range n.Foreign {
-		if f.done {
-			continue
-		}
-		s += f.MemoryGB
-	}
-	return s
-}
+// ReservedGB is the node's admission-time memory reservations plus the
+// working sets of foreign tasks still running. It returns the cached sum
+// resum maintains, so it is O(1).
+func (n *Node) ReservedGB() float64 { return n.reservedGB }
 
-// ActualGB sums true memory use. A finished co-runner's working set leaves
-// both the reserved and actual sums, so the node can un-page once its
-// foreign guest is gone; the foreign completion marks the node dirty, so the
-// rate bookkeeping stays exact.
-func (n *Node) ActualGB() float64 {
-	var s float64
-	for _, e := range n.Executors {
-		s += e.ActualGB
-	}
-	for _, f := range n.Foreign {
-		if f.done {
-			continue
-		}
-		s += f.MemoryGB
-	}
-	return s
-}
+// ActualGB is the node's true memory use: executor residency plus the
+// working sets of foreign tasks still running. A finished co-runner's
+// working set leaves both the reserved and actual sums, so the node can
+// un-page once its foreign guest is gone; the foreign completion re-sums and
+// marks the node dirty, so the rate bookkeeping stays exact. O(1), like
+// ReservedGB.
+func (n *Node) ActualGB() float64 { return n.actualGB }
 
 // FreeGB is the unreserved allocatable memory left on the node.
 func (n *Node) FreeGB() float64 {
@@ -143,18 +129,35 @@ func (n *Node) FreeGB() float64 {
 	return free
 }
 
-// CPUDemand sums the CPU demands of everything on the node.
-func (n *Node) CPUDemand() float64 {
-	var s float64
+// CPUDemand is the summed CPU demand of everything on the node. O(1), like
+// ReservedGB.
+func (n *Node) CPUDemand() float64 { return n.cpuDemand }
+
+// resum rebuilds the cached memory and CPU sums from the node's executor and
+// foreign-task lists. Each sum has its own accumulator and adds executors in
+// slice order, then the foreign tasks still running, so it sees exactly the
+// sequence of additions an uncached sum would and the result is
+// bit-identical to it (refReservedGB and its twins in engine_ref.go are that
+// uncached sum). Running += / -= totals would drift in the last ulp and move
+// every rate. Every write to Node.Executors, Node.Foreign, a foreign task's
+// done flag or an executor's ReservedGB/ActualGB/Demand must be followed by
+// a resum before anything reads the sums.
+func (n *Node) resum() {
+	var reserved, actual, cpu float64
 	for _, e := range n.Executors {
-		s += e.Demand
+		reserved += e.ReservedGB
+		actual += e.ActualGB
+		cpu += e.Demand
 	}
 	for _, f := range n.Foreign {
-		if !f.done {
-			s += f.CPULoad
+		if f.done {
+			continue
 		}
+		reserved += f.MemoryGB
+		actual += f.MemoryGB
+		cpu += f.CPULoad
 	}
-	return s
+	n.reservedGB, n.actualGB, n.cpuDemand = reserved, actual, cpu
 }
 
 // Utilization is the node's CPU utilization in [0,1], relative to its own

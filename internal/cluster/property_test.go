@@ -181,8 +181,10 @@ func TestMakespanMonotoneInWorkProperty(t *testing.T) {
 // deliberate under-reservation (heap pressure), a mid-run oversized foreign
 // "hog" that overflows a busy node past RAM+swap (admission charged the
 // executors before the hog existed, so the OOM-kill and blacklist paths
-// fire) and — for classed runs — preemption on behalf of starved
-// high-weight arrivals.
+// fire), in-place growth of executors spawned below their fair share (the
+// Grow path the MoE dispatcher takes, which rewrites a node's memory sums
+// and an executor's cache-efficiency factor) and — for classed runs —
+// preemption on behalf of starved high-weight arrivals.
 type diffScheduler struct {
 	preempt  bool
 	hog      bool
@@ -207,6 +209,16 @@ func (s *diffScheduler) Schedule(c *Cluster) {
 					s.hogAdded = true
 				}
 				break
+			}
+		}
+	}
+	for _, app := range c.ActiveApps() {
+		if app.ID%7 != 2 {
+			continue
+		}
+		for _, e := range app.Executors {
+			if e.ItemsGB < e.FairShareGB && e.Node.FreeGB() >= 2 {
+				_ = c.Grow(e, e.ReservedGB+2, e.FairShareGB)
 			}
 		}
 	}
@@ -254,6 +266,11 @@ func (s *diffScheduler) Schedule(c *Cluster) {
 				// Under-reserve every fifth app: heap-pressure rates, and —
 				// together with oversized foreign working sets — OOM kills.
 				reserve = free / 6
+			}
+			if app.ID%7 == 2 && share/2 >= c.Config().MinChunkGB {
+				// Start every seventh app at half its fair share; the growth
+				// pass above widens it once its node has memory to spare.
+				share /= 2
 			}
 			_, _ = c.Spawn(app, n, reserve, share)
 		}
@@ -475,6 +492,9 @@ func installDiffHook(t *testing.T, c *Cluster, label string) *int {
 		if diff := c.refCheckRates(); diff != "" {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
+		if diff := c.refCheckNodeSums(); diff != "" {
+			t.Fatalf("%s event %d: %s", label, *events, diff)
+		}
 		if diff := c.refCheckDeadlines(share); diff != "" {
 			t.Fatalf("%s event %d: %s", label, *events, diff)
 		}
@@ -624,10 +644,11 @@ func (s *scaleDiffScheduler) Prepare(c *Cluster, a *App) ProfilePlan {
 // TestIndexedEngineMatchesScanReference20000 runs the differential harness at
 // fleet scale: a 20,000-application classed stream on the 64-node bimodal
 // storm fleet of the scaling benchmarks. The shadow integrator (O(in-flight)
-// per event) runs on every event; the heavy O(total-apps) reference scans are
-// subsampled to every 8th event, which still lands tens of thousands of full
-// scan-vs-index comparisons across the run while keeping the test minutes off
-// the critical path. Excluded under -short.
+// per event) and the cached node-sum check run on every event; the heavy
+// O(total-apps) reference scans are subsampled to every 8th event, which
+// still lands tens of thousands of full scan-vs-index comparisons across the
+// run while keeping the test minutes off the critical path. Excluded under
+// -short.
 func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20k-app differential run excluded under -short")
@@ -669,6 +690,10 @@ func TestIndexedEngineMatchesScanReference20000(t *testing.T) {
 	c.checkEvent = func(share, dt float64, ok bool) {
 		events++
 		if diff := shadow.step(dt); diff != "" {
+			t.Fatalf("event %d: %s", events, diff)
+		}
+		// The node-sum check is O(executors), cheap enough for every event.
+		if diff := c.refCheckNodeSums(); diff != "" {
 			t.Fatalf("event %d: %s", events, diff)
 		}
 		if events%8 != 0 {

@@ -20,10 +20,17 @@ func TestForeignCompletionFreesWorkingSet(t *testing.T) {
 	if n.ActualGB() != 40 || n.ReservedGB() != 40 {
 		t.Fatalf("running foreign task must be resident (actual %v reserved %v)", n.ActualGB(), n.ReservedGB())
 	}
-	//moevet:allow settledstate flipping completion directly to probe ReservedGB/ActualGB accounting
-	f.done = true
-	if n.ActualGB() != 0 || n.ReservedGB() != 0 {
-		t.Errorf("after completion actual %v reserved %v, want 0", n.ActualGB(), n.ReservedGB())
+	// Complete the task through the engine's release path: rate it alone on
+	// the node, jump the clock to its finish and let completeForeign settle
+	// it and rebuild the node's sums.
+	c.recomputeRates()
+	c.now = f.settledAt + f.remaining/f.rate
+	c.completeForeign(f)
+	if !f.Done() {
+		t.Fatal("foreign task did not complete")
+	}
+	if n.ActualGB() != 0 || n.ReservedGB() != 0 || n.CPUDemand() != 0 {
+		t.Errorf("after completion actual %v reserved %v cpu %v, want 0", n.ActualGB(), n.ReservedGB(), n.CPUDemand())
 	}
 }
 

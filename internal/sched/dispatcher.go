@@ -234,9 +234,11 @@ func (d *Dispatcher) placeApp(c *cluster.Cluster, app *cluster.App) {
 // node is available, holds no executor of the app, is not on the app's OOM
 // blacklist unless empty, is under MaxAppsPerNode, has CPU headroom when
 // CheckCPU is set, and has more than minChunkGB free. It returns the node's
-// free memory when the node passes.
+// free memory when the node passes. The checks are pure, so their order only
+// sets the cost: the O(1) node reads run first, and the executor-list walk
+// and blacklist lookup only for nodes that pass them.
 func (d *Dispatcher) admits(c *cluster.Cluster, app *cluster.App, n *cluster.Node, minChunkGB float64) (free float64, ok bool) {
-	if !n.Available() || app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
+	if !n.Available() {
 		return 0, false
 	}
 	if d.MaxAppsPerNode > 0 && n.AppCount() >= d.MaxAppsPerNode {
@@ -245,8 +247,13 @@ func (d *Dispatcher) admits(c *cluster.Cluster, app *cluster.App, n *cluster.Nod
 	if d.CheckCPU && n.CPUDemand()+app.Job.Bench.CPULoad > n.CPUCapacity()+1e-9 {
 		return 0, false
 	}
-	free = n.FreeGB()
-	return free, free > minChunkGB
+	if free = n.FreeGB(); free <= minChunkGB {
+		return 0, false
+	}
+	if app.ExecutorOn(n) || (app.BlockedOn(n, c.Now()) && len(n.Executors) > 0) {
+		return 0, false
+	}
+	return free, true
 }
 
 // plan decides the reservation and data allocation for a prospective
